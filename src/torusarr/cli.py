@@ -76,8 +76,12 @@ def _load(path: str) -> Arrangement:
 def _cmd_count(args) -> int:
     arr = _load(args.file)
     cap = _max_sheets(args)
-    f = count_regions(arr, max_sheets=cap)
-    witnesses = region_witnesses(arr, max_sheets=cap) if args.witnesses else None
+    if args.witnesses:
+        witnesses = region_witnesses(arr, max_sheets=cap)
+        f = len(witnesses)
+    else:
+        witnesses = None
+        f = count_regions(arr, max_sheets=cap)
     if args.json:
         payload = {"command": "count", "d": arr.dim, "n": arr.n, "f": f}
         if witnesses is not None:

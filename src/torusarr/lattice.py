@@ -2,8 +2,10 @@
 
 Multi-gcds with Bezout certificates, completion of a primitive covector to a
 determinant-one integer matrix, the squared metric data of an integer
-hyperplane, and the gcd of all 2x2 minors of a pair of vectors (used as an
-independent oracle for pairwise intersection counts).
+hyperplane, the gcd of all 2x2 minors of a pair of vectors (used as an
+independent oracle for pairwise intersection counts), and the Hermite normal
+form of an integer lattice with canonical coset representatives (used to
+identify torus regions).
 
 Everything runs on arbitrary-precision integers; no floating point anywhere.
 All functions are pure and all returned values are immutable, so the module
@@ -239,3 +241,62 @@ def minors2_gcd(a, b) -> int:
         for j in range(i + 1, len(va)):
             g = math.gcd(g, abs(va[i] * vb[j] - va[j] * vb[i]))
     return g
+
+
+def hermite_basis(vectors) -> IntMatrix:
+    """Hermite normal form basis of the lattice spanned by integer vectors.
+
+    Returns rows b_1..b_r (r the rank) with pivot columns p_1 < ... < p_r:
+    b_i is zero before p_i, b_i[p_i] > 0, and every earlier row has its
+    entry at p_i reduced into [0, b_i[p_i]). The basis depends only on the
+    lattice, not on the generators (Cohen, A Course in Computational
+    Algebraic Number Theory, section 2.4). Rows are combined with
+    determinant-one 2x2 operations only, so the lattice never changes.
+    """
+    rows = [list(as_intvec(v)) for v in vectors]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise DimensionMismatch("generators have different lengths")
+    rows = [r for r in rows if any(r)]
+    basis: list[list[int]] = []
+    col = 0
+    while rows:
+        rest = [r for r in rows if not r[col]]
+        live = [r for r in rows if r[col]]
+        if live:
+            pivot = live[0]
+            for r in live[1:]:
+                # [[x, y], [-r/g, p/g]] has determinant (x*p + y*r)/g = 1.
+                g, x, y = xgcd(pivot[col], r[col])
+                pg, rg = pivot[col] // g, r[col] // g
+                pivot, r = (
+                    [x * u + y * v for u, v in zip(pivot, r)],
+                    [pg * v - rg * u for u, v in zip(pivot, r)],
+                )
+                if any(r):
+                    rest.append(r)
+            if pivot[col] < 0:
+                pivot = [-u for u in pivot]
+            for b in basis:
+                q = b[col] // pivot[col]
+                if q:
+                    b[:] = [u - q * v for u, v in zip(b, pivot)]
+            basis.append(pivot)
+        rows = rest
+        col += 1
+    return tuple(tuple(b) for b in basis)
+
+
+def reduce_mod_lattice(v, basis) -> IntVec:
+    """Canonical representative of the coset v + L, for L given by ``hermite_basis``.
+
+    Subtracting multiples of b_1, ..., b_r in turn brings each pivot entry
+    into [0, b_i[p_i]); two vectors reduce to the same tuple exactly when
+    their difference lies in L.
+    """
+    out = list(v)
+    for b in basis:
+        p = next(i for i, x in enumerate(b) if x)
+        q = out[p] // b[p]
+        if q:
+            out = [u - q * w for u, w in zip(out, b)]
+    return tuple(out)

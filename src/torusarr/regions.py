@@ -3,10 +3,20 @@
 The complement of an arrangement is counted on the fundamental cube
 [0, 1]^d. Every subtorus lifts to the finitely many parallel hyperplane
 sheets that meet the cube; the cube is then split incrementally, sheet by
-sheet, into open convex cells. Finally opposite cube facets are identified:
-two cells are glued whenever their wall facets overlap in a set of
-dimension d-1 and the wall itself is not one of the subtori. The number of
-regions is the number of union-find classes.
+sheet, into open convex cells.
+
+Regions are then identified algebraically. In R^d the complement of the
+lifted arrangement falls into the convex cells
+P_K = {x : floor(a_t . x - c_t) = K_t for every subtorus t}, and Z^d
+acts on them by K -> K + N v, where N is the matrix whose rows are the
+normals a_t. The torus regions are the orbits of this action. Every cube
+cell lies in one P_K, and K_t is, up to a constant shift per subtorus,
+the number of subtorus t's sheets on whose positive side the cell lies.
+So a cell's key is its floor vector K reduced modulo the lattice N Z^d
+(``torusarr.lattice.hermite_basis``), and cells lie in the same region
+exactly when their keys agree. A subtorus x_i = 0 needs no special case:
+all cube cells share its coordinate of K, so no translation with a
+nonzero i-th component relates two of them.
 
 Cells are tracked by their exact vertex sets (integer coordinate vectors
 over a common denominator), which makes every split decision a matter of
@@ -14,13 +24,12 @@ evaluating signs of integer expressions: a sheet properly cuts a cell
 exactly when its affine form takes both signs on the vertex set. New
 vertices appear only on edges crossing the sheet and are recovered from
 vertex pairs of opposite sign followed by an exact rank test, so no
-floating point and no linear programming is needed on this path. The
-feasibility kernel (``torusarr.feasibility``) backs the facet-overlap test
-in dimension 4 and higher and remains available as an independent check.
+floating point and no linear programming is needed anywhere in a count.
 
 Determinism: subtori are processed in input order, sheets in increasing
 offset; splitting emits the negative-side cell first. Rebuilding the same
-arrangement yields bit-identical complexes.
+arrangement yields bit-identical complexes, and regions are numbered in
+the order of their lowest-index cell.
 """
 
 from __future__ import annotations
@@ -29,45 +38,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._geometry import affine_rank, hull_h, hulls_overlap_h, int_rank
+# Imported but not called here: feasible and relative_dim_is are re-exported
+# as part of this module's documented surface, and the benchmark's tracer
+# (perfbench/spans.py) wraps hull_h, hulls_overlap_h, affine_rank and
+# relative_dim_is by name in this module, so a missing name fails every
+# traced op.
+from ._geometry import affine_rank, hull_h, hulls_overlap_h, int_rank  # noqa: F401
 from .arrangement import Arrangement, Subtorus, validate
 from .errors import DimensionMismatch, ResourceCapError
-from .feasibility import LinConstraint, feasible, relative_dim_is  # noqa: F401  (kernel ops belong to this module's surface)
-from .lattice import IntVec
+from .feasibility import LinConstraint, feasible, relative_dim_is  # noqa: F401
+from .lattice import IntVec, hermite_basis, reduce_mod_lattice
 
 DEFAULT_MAX_SHEETS = 64
-
-
-class UnionFind:
-    """Union-find over cell indices with deterministic smallest-root merging."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if ra > rb:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-
-    def classes(self) -> list[list[int]]:
-        groups: dict[int, list[int]] = {}
-        for i in range(len(self.parent)):
-            groups.setdefault(self.find(i), []).append(i)
-        return [groups[r] for r in sorted(groups)]
-
-    def count(self) -> int:
-        return sum(1 for i in range(len(self.parent)) if self.find(i) == i)
 
 
 @dataclass(frozen=True)
@@ -88,8 +70,10 @@ class CellComplex:
     """Result of decomposing the fundamental cube along the lifted sheets.
 
     ``sign_vectors[i][j]`` is the side (+1 / -1) of sheet j that open cell i
-    lies on. ``gluing`` and ``region_count`` are filled once the torus
-    identifications have been applied; they are None on an unglued complex.
+    lies on. ``gluing[i]`` is the index of the torus region that cell i
+    belongs to; regions are numbered in the order of their lowest-index
+    cell, so ``gluing[0] == 0``. ``gluing`` and ``region_count`` are filled
+    when the complex is built with ``glue=True`` and are None otherwise.
     """
 
     dim: int
@@ -97,7 +81,7 @@ class CellComplex:
     cells: tuple[HPolytope, ...]
     sign_vectors: tuple[tuple[int, ...], ...]
     cell_vertices: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    gluing: UnionFind | None
+    gluing: tuple[int, ...] | None
     region_count: int | None
 
 
@@ -274,102 +258,6 @@ def _build(arr: Arrangement, max_sheets: int | None):
     return cells, sheets
 
 
-def _blocked_axes(arr: Arrangement) -> set[int]:
-    blocked = set()
-    for torus in arr.tori:
-        if torus.offset == 0 and sum(abs(x) for x in torus.normal) == 1:
-            axis = next(i for i, x in enumerate(torus.normal) if x != 0)
-            blocked.add(axis)
-    return blocked
-
-
-def _facet_entries(cells, d, axis, at_one):
-    """Cells whose facet on the given wall has full dimension d-1.
-
-    Each entry is (cell index, hull or None, bbox). Facet vertices project
-    to homogeneous integer points once the wall coordinate is dropped; for
-    d = 3 the convex hull is precomputed so pair tests only clip.
-    """
-    entries = []
-    for idx, cell in enumerate(cells):
-        if at_one:
-            pts = [v for v in cell.verts if v[0][axis] == v[1]]
-        else:
-            pts = [v for v in cell.verts if v[0][axis] == 0]
-        if len(pts) < d:
-            continue
-        if d == 1:
-            entries.append((idx, None, ((), ())))
-            continue
-        proj = [
-            tuple(v[0][k] for k in range(d) if k != axis) + (v[1],) for v in pts
-        ]
-        coords = [
-            [Fraction(p[k], p[-1]) for p in proj] for k in range(d - 1)
-        ]
-        bbox = (
-            tuple(min(c) for c in coords),
-            tuple(max(c) for c in coords),
-        )
-        if d == 2:
-            if bbox[0][0] == bbox[1][0]:
-                continue
-            entries.append((idx, None, bbox))
-        elif d == 3:
-            hull = hull_h(proj)
-            if len(hull) < 3:
-                continue
-            entries.append((idx, hull, bbox))
-        else:
-            frac_pts = [tuple(Fraction(p[k], p[-1]) for k in range(d - 1)) for p in proj]
-            if affine_rank(frac_pts) != d - 1:
-                continue
-            entries.append((idx, None, bbox))
-    return entries
-
-
-def _shifted_closure_system(cell_hi: _Cell, cell_lo: _Cell, axis: int, d: int):
-    cons = []
-    for a, p, q, _ in cell_hi.cons:
-        rhs = Fraction(p, q) - a[axis]
-        cons.append(LinConstraint(tuple(Fraction(x) for x in a), rhs, "<="))
-    for a, p, q, _ in cell_lo.cons:
-        cons.append(LinConstraint(tuple(Fraction(x) for x in a), Fraction(p, q), "<="))
-    wall = tuple(Fraction(1 if k == axis else 0) for k in range(d))
-    cons.append(LinConstraint(wall, Fraction(0), "="))
-    return cons
-
-
-def _glue(cells, arr: Arrangement) -> UnionFind:
-    d = arr.dim
-    blocked = _blocked_axes(arr)
-    uf = UnionFind(len(cells))
-    for axis in range(d):
-        if axis in blocked:
-            continue
-        hi_entries = _facet_entries(cells, d, axis, at_one=True)
-        lo_entries = _facet_entries(cells, d, axis, at_one=False)
-        for i1, hull1, bb1 in hi_entries:
-            for i2, hull2, bb2 in lo_entries:
-                if uf.find(i1) == uf.find(i2):
-                    continue
-                if any(
-                    max(bb1[0][k], bb2[0][k]) >= min(bb1[1][k], bb2[1][k])
-                    for k in range(d - 1)
-                ):
-                    continue
-                if d <= 2:
-                    touch = True
-                elif d == 3:
-                    touch = hulls_overlap_h(hull1, hull2)
-                else:
-                    system = _shifted_closure_system(cells[i1], cells[i2], axis, d)
-                    touch = relative_dim_is(system, d, d - 1)
-                if touch:
-                    uf.union(i1, i2)
-    return uf
-
-
 def _to_public(cells, sheets, d, gluing, region_count) -> CellComplex:
     polys = []
     verts = []
@@ -395,23 +283,44 @@ def _to_public(cells, sheets, d, gluing, region_count) -> CellComplex:
     )
 
 
+def _region_keys(cells, arr: Arrangement) -> list[IntVec]:
+    """Floor vector of every cell reduced modulo N Z^d; equal keys, same region.
+
+    ``_collect_sheets`` emits each subtorus's sheets together in increasing
+    offset, so coordinate t of the floor vector (less a constant) counts
+    the +1 signs in subtorus t's run of the sign vector.
+    """
+    basis = hermite_basis(zip(*(t.normal for t in arr.tori)))
+    runs = []
+    start = 0
+    for torus in arr.tori:
+        stop = start + len(lift_hyperplanes(torus, arr.dim))
+        runs.append((start, stop))
+        start = stop
+    return [
+        reduce_mod_lattice([cell.signs[i:j].count(1) for i, j in runs], basis)
+        for cell in cells
+    ]
+
+
 def build_cells(arr: Arrangement, max_sheets: int | None = None, glue: bool = False) -> CellComplex:
     """Decompose the fundamental cube along all lifted sheets.
 
-    With ``glue=True`` the torus identifications are applied as well and
+    With ``glue=True`` the cells are grouped into torus regions as well and
     ``gluing`` / ``region_count`` are populated.
     """
     cells, sheets = _build(arr, max_sheets)
     if glue:
-        uf = _glue(cells, arr)
-        return _to_public(cells, sheets, arr.dim, uf, uf.count())
+        index: dict[IntVec, int] = {}
+        gluing = tuple(index.setdefault(k, len(index)) for k in _region_keys(cells, arr))
+        return _to_public(cells, sheets, arr.dim, gluing, len(index))
     return _to_public(cells, sheets, arr.dim, None, None)
 
 
 def count_regions(arr: Arrangement, max_sheets: int | None = None) -> int:
     """Number of connected components of the complement of the arrangement."""
     cells, _ = _build(arr, max_sheets)
-    return _glue(cells, arr).count()
+    return len(set(_region_keys(cells, arr)))
 
 
 def _centroid(cell: _Cell, d: int) -> tuple[Fraction, ...]:
@@ -428,5 +337,7 @@ def region_witnesses(arr: Arrangement, max_sheets: int | None = None) -> list[tu
     cell, which lies strictly inside that open cell.
     """
     cells, _ = _build(arr, max_sheets)
-    uf = _glue(cells, arr)
-    return [_centroid(cells[group[0]], arr.dim) for group in uf.classes()]
+    first: dict[IntVec, int] = {}
+    for i, key in enumerate(_region_keys(cells, arr)):
+        first.setdefault(key, i)
+    return [_centroid(cells[i], arr.dim) for i in first.values()]

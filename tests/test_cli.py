@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from torusarr import regions
 from torusarr.cli import main
 
 FAMILY_A = """# parallel family
@@ -35,6 +36,14 @@ class TestCount:
         for line in witness_lines:
             parts = line.removeprefix("witness: ").split()
             assert len(parts) == 3 and all("/" in p for p in parts)
+
+    def test_witnesses_build_the_complex_once(self, family_a, capsys, monkeypatch):
+        calls = []
+        build = regions._build
+        monkeypatch.setattr(regions, "_build", lambda *args: calls.append(args) or build(*args))
+        assert main(["count", family_a, "--witnesses"]) == 0
+        assert capsys.readouterr().out.startswith("f = 3\n")
+        assert len(calls) == 1
 
     def test_json(self, family_a, capsys):
         assert main(["count", family_a, "--json", "--witnesses"]) == 0

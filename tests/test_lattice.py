@@ -14,10 +14,12 @@ from torusarr.lattice import (
     covector_times_matrix,
     det_int,
     gcd_vec,
+    hermite_basis,
     hyperplane_metrics,
     is_unimodular,
     matmul_int,
     minors2_gcd,
+    reduce_mod_lattice,
     xgcd,
 )
 
@@ -235,3 +237,81 @@ class TestMatrixHelpers:
         assert is_unimodular(prod)
         assert not is_unimodular(((0, 1), (1, 0)))
         assert not is_unimodular(((1, 2, 3),))
+
+
+@st.composite
+def normals_and_shift(draw):
+    """An n x d integer matrix N (rows are normals), a vector K in Z^n and v in Z^d."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=n, max_size=n))
+    k = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    v = draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
+    return rows, k, v
+
+
+def columns(rows):
+    return [tuple(c) for c in zip(*rows)]
+
+
+class TestHermiteBasis:
+    def test_worked_example(self):
+        assert hermite_basis([(2, 4, 6), (1, 1, 1)]) == ((1, 1, 1), (0, 2, 4))
+        assert hermite_basis([(6,), (10,), (15,)]) == ((1,),)
+        assert hermite_basis([(0, 0), (0, 0)]) == ()
+        assert hermite_basis([]) == ()
+
+    def test_ragged_generators_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            hermite_basis([(1, 2), (1, 2, 3)])
+
+    @given(normals_and_shift())
+    def test_echelon_positive_pivots_reduced_above(self, data):
+        rows, _, _ = data
+        basis = hermite_basis(columns(rows))
+        pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
+        assert pivots == sorted(set(pivots))
+        assert len(basis) <= len(rows[0])
+        for i, (b, p) in enumerate(zip(basis, pivots)):
+            assert b[p] > 0
+            for earlier in basis[:i]:
+                assert 0 <= earlier[p] < b[p]
+
+    @given(normals_and_shift())
+    def test_depends_only_on_the_lattice(self, data):
+        rows, _, _ = data
+        gens = columns(rows)
+        basis = hermite_basis(gens)
+        assert hermite_basis(list(reversed(gens))) == basis
+        assert hermite_basis(gens + list(basis)) == basis
+        assert hermite_basis(basis) == basis
+
+    @given(normals_and_shift())
+    def test_every_generator_reduces_to_zero(self, data):
+        rows, _, _ = data
+        gens = columns(rows)
+        basis = hermite_basis(gens)
+        for g in gens:
+            assert reduce_mod_lattice(g, basis) == (0,) * len(g)
+
+    @given(normals_and_shift())
+    def test_reduction_is_idempotent(self, data):
+        rows, k, _ = data
+        basis = hermite_basis(columns(rows))
+        once = reduce_mod_lattice(k, basis)
+        assert reduce_mod_lattice(once, basis) == once
+
+    @given(normals_and_shift())
+    def test_reduction_ignores_integer_translations(self, data):
+        # K and K + N v are the floor vectors of a lifted cell and of its
+        # translate by v in Z^d, so they must get the same key.
+        rows, k, v = data
+        basis = hermite_basis(columns(rows))
+        shifted = [kt + sum(a * x for a, x in zip(row, v)) for kt, row in zip(k, rows)]
+        assert reduce_mod_lattice(shifted, basis) == reduce_mod_lattice(k, basis)
+
+    def test_reduction_separates_cosets(self):
+        # N = (1, 1)^T: Z^2 / N Z has one class per value of K_2 - K_1.
+        basis = hermite_basis([(1, 1)])
+        keys = {reduce_mod_lattice((a, b), basis) for a in range(-3, 4) for b in range(-3, 4)}
+        assert keys == {(0, b) for b in range(-6, 7)}

@@ -1,15 +1,21 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import euler_oracle_f, random_arrangement, random_subtorus, random_unimodular
-from torusarr import regions as regions_mod
-from torusarr._geometry import hull_h, hulls_overlap_h
-from torusarr.arrangement import Arrangement, Subtorus, transform, translate
+from conftest import (
+    euler_oracle_f,
+    random_arrangement,
+    random_primitive_vector,
+    random_subtorus,
+    random_unimodular,
+)
+from torusarr._geometry import hull_h
+from torusarr.arrangement import Arrangement, Subtorus, subtorus_from_equation, transform, translate
 from torusarr.errors import DimensionMismatch, DuplicateSubtorus, ResourceCapError
-from torusarr.feasibility import feasible, relative_dim_is
+from torusarr.feasibility import feasible
 from torusarr.regions import (
     build_cells,
     count_regions,
@@ -112,6 +118,18 @@ class TestBuildCells:
                     val = sum(F(a) * x for a, x in zip(normal, w))
                     assert val != rhs
                     assert (1 if val > rhs else -1) == side
+
+    def test_gluing_is_the_region_index_of_each_cell(self):
+        # The cells left and right of x = 1/2 meet across the wall x = 0 = 1
+        # unless the subtorus x = 0 sits on that wall.
+        unblocked = build_cells(
+            Arrangement(2, (Subtorus((1, 0), F(1, 4)), Subtorus((1, 0), F(1, 2)))), glue=True
+        )
+        assert unblocked.gluing == (0, 1, 0) and unblocked.region_count == 2
+        blocked = build_cells(
+            Arrangement(2, (Subtorus((1, 0), F(0)), Subtorus((1, 0), F(1, 2)))), glue=True
+        )
+        assert blocked.gluing == (0, 1) and blocked.region_count == 2
 
     def test_wall_coincident_sheets_never_cut(self):
         arr = Arrangement(2, (Subtorus((1, 0), F(0)),))
@@ -276,26 +294,152 @@ class TestDeterminism:
         ]
 
 
-class TestGluingCrossValidation:
-    def test_geometric_and_kernel_overlap_tests_agree(self):
-        # For d = 3 the facet-overlap decision uses exact polygon clipping;
-        # re-derive every decision with the LP-based affine-hull test.
-        rng = random.Random(39)
-        for _ in range(4):
-            arr = random_arrangement(rng, 3, rng.randint(1, 2), bound=2, max_den=4)
-            cells, _ = regions_mod._build(arr, None)
-            d = 3
-            for axis in range(d):
-                hi = regions_mod._facet_entries(cells, d, axis, at_one=True)
-                lo = regions_mod._facet_entries(cells, d, axis, at_one=False)
-                for i1, hull1, _ in hi:
-                    for i2, hull2, _ in lo:
-                        geo = hulls_overlap_h(hull1, hull2)
-                        system = regions_mod._shifted_closure_system(
-                            cells[i1], cells[i2], axis, d
-                        )
-                        lp = relative_dim_is(system, d, d - 1)
-                        assert geo == lp
+def _distinct(count, make):
+    tori = []
+    while len(tori) < count:
+        s = make()
+        if s not in tori:
+            tori.append(s)
+    return tori
+
+
+def _axis(d, i):
+    return Subtorus(tuple(int(j == i) for j in range(d)), F(0))
+
+
+def golden_arrangement(d, kind, seed):
+    """Seeded arrangement in T^d of one degenerate kind.
+
+    random: general random subtori. parallel: two or three parallel
+    subtori plus random ones. coordinate: subtori x_i = 0 (sheets on
+    cube walls) for between 1 and d - 1 axes, plus random subtori.
+    nonessential: normals of rank d - 1. concurrent: three or four subtori
+    through one point. bigden: offset denominators near 10**18, with an
+    x_i = 0 subtorus half of the time.
+    """
+    rng = random.Random(1000 * d + seed)
+    bound = 1 if d >= 4 else 2
+    if kind == "random":
+        n = rng.randint(2, max(5, d + 1))
+        return random_arrangement(rng, d, n, bound=3 if d <= 3 else 1, max_den=8)
+    if kind == "parallel":
+        v = random_primitive_vector(rng, d, bound)
+        tori = [subtorus_from_equation(v, F(k, 8)) for k in rng.sample(range(8), rng.randint(2, 3))]
+        extra = random_arrangement(rng, d, rng.randint(1, 2), bound=bound, max_den=4).tori
+        tori += [s for s in extra if s not in tori]
+    elif kind == "coordinate":
+        axes = rng.sample(range(d), rng.randint(1, d - 1))
+        extra = random_arrangement(rng, d, rng.randint(1, 2), bound=bound, max_den=4).tori
+        tori = [_axis(d, i) for i in axes]
+        tori += [s for s in extra if s not in tori]
+    elif kind == "nonessential":
+        tori = _distinct(
+            rng.randint(2, 4),
+            lambda: subtorus_from_equation(
+                random_primitive_vector(rng, d - 1, bound + 1) + (0,), F(rng.randint(0, 5), 6)
+            ),
+        )
+    elif kind == "concurrent":
+        point = [F(rng.randint(0, 3), 4) for _ in range(d)]
+
+        def through_point():
+            v = random_primitive_vector(rng, d, bound)
+            return subtorus_from_equation(v, sum(a * x for a, x in zip(v, point)))
+
+        tori = _distinct(rng.randint(3, 4), through_point)
+    else:  # bigden
+
+        def big_denominator():
+            q = rng.randint(10**17, 10**18)
+            return subtorus_from_equation(random_primitive_vector(rng, d, bound), F(rng.randrange(q), q))
+
+        tori = _distinct(rng.randint(2, 4), big_denominator)
+        if rng.random() < 0.5:
+            tori.append(_axis(d, rng.randrange(d)))
+    return Arrangement(d, tuple(tori))
+
+
+def witness_digest(witnesses) -> str:
+    text = ";".join(",".join(f"{x.numerator}/{x.denominator}" for x in w) for w in witnesses)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# (d, kind, seed) -> (f, witness_digest(region_witnesses(arr))), recorded
+# with the facet-gluing counter that lattice keys replaced: interval tests
+# in d = 2, polygon clipping in d = 3 and one exact LP per facet pair in
+# d >= 4. Seeds are 0 and 1 for d <= 3; for d >= 4 they are the first two
+# seeds of each kind whose unglued complex has at most 40 cells, so that
+# the LP route could record them in minutes.
+GOLDEN_REGIONS = {
+    (2, "random", 0): (26, "62a3205ce3752c68"),
+    (2, "random", 1): (7, "f76fa4ac1c320823"),
+    (2, "parallel", 0): (3, "9e69230f1b261866"),
+    (2, "parallel", 1): (3, "0a4124401c219811"),
+    (2, "coordinate", 0): (3, "222069473f29d3b9"),
+    (2, "coordinate", 1): (1, "175cccfd67b25049"),
+    (2, "nonessential", 0): (3, "df4735566c40d0c9"),
+    (2, "nonessential", 1): (4, "c8310afa58570745"),
+    (2, "concurrent", 0): (6, "16acfa2e82ba5e67"),
+    (2, "concurrent", 1): (3, "85cd0f574d979e40"),
+    (2, "bigden", 0): (2, "9e27d68b7cc4559d"),
+    (2, "bigden", 1): (15, "b973bcf7744e01dc"),
+    (3, "random", 0): (7, "f76df42575a49634"),
+    (3, "random", 1): (22, "f0a4a621e2960e9b"),
+    (3, "parallel", 0): (3, "4c327dc6af2ec1c6"),
+    (3, "parallel", 1): (3, "fa6524eefa6adfb9"),
+    (3, "coordinate", 0): (1, "98c227fca269227f"),
+    (3, "coordinate", 1): (2, "979caa1036b3d6a5"),
+    (3, "nonessential", 0): (17, "b8ec1e959af54c02"),
+    (3, "nonessential", 1): (8, "3d4a460da7eabd81"),
+    (3, "concurrent", 0): (7, "1016da7281fb3ca8"),
+    (3, "concurrent", 1): (6, "151b070a9d6b2cab"),
+    (3, "bigden", 0): (14, "96518c73a4502341"),
+    (3, "bigden", 1): (2, "719772b34b8a1b16"),
+    (4, "random", 3): (2, "67334a77639a713e"),
+    (4, "random", 5): (1, "c6b593af5d9b0245"),
+    (4, "parallel", 0): (2, "de342168af09ce56"),
+    (4, "parallel", 1): (2, "da9e0a9d79752d72"),
+    (4, "coordinate", 0): (1, "bccee3797b475d4f"),
+    (4, "coordinate", 1): (1, "963acc4d63a628d9"),
+    (4, "nonessential", 0): (1, "32659798211d49d4"),
+    (4, "nonessential", 1): (3, "b502e6d51c52efa3"),
+    (4, "concurrent", 0): (1, "e9afa6376b189c97"),
+    (4, "concurrent", 1): (2, "b81191e1714d7166"),
+    (4, "bigden", 0): (2, "f51b95bed3950338"),
+    (4, "bigden", 1): (3, "c5cd79bdc48f1e69"),
+    (5, "random", 0): (2, "5db1e2d3c2d23bb1"),
+    (5, "random", 3): (1, "d2a2c231d134558f"),
+    (5, "parallel", 1): (2, "797691bae16704ef"),
+    (5, "parallel", 2): (3, "f1ea160bcd085c24"),
+    (5, "coordinate", 0): (1, "3f5ba4c7ee3dc22f"),
+    (5, "coordinate", 1): (1, "cd66978f43b503ef"),
+    (5, "nonessential", 0): (1, "2be20b2967882b09"),
+    (5, "nonessential", 3): (1, "3d30672ec72900df"),
+    (5, "concurrent", 1): (1, "6d91a63a19d866ca"),
+    (5, "concurrent", 7): (1, "b37475d07a11df01"),
+    (5, "bigden", 0): (1, "9114407f2b91d3cb"),
+    (5, "bigden", 3): (1, "20bbf3509c69afab"),
+}
+
+
+class TestGoldenRegions:
+    @pytest.mark.parametrize("case", list(GOLDEN_REGIONS), ids=lambda c: "%d-%s-%d" % c)
+    def test_count_and_witnesses_match_recorded_values(self, case):
+        arr = golden_arrangement(*case)
+        f, digest = GOLDEN_REGIONS[case]
+        witnesses = region_witnesses(arr)
+        assert (len(witnesses), witness_digest(witnesses)) == (f, digest)
+        assert count_regions(arr) == f
+        cc = build_cells(arr, glue=True)
+        assert cc.region_count == f and set(cc.gluing) == set(range(f))
+        # Regions are numbered by their lowest-index cell, whose vertex
+        # centroid is the region's witness.
+        firsts = [cc.gluing.index(r) for r in range(f)]
+        assert firsts == sorted(firsts)
+        assert witnesses == [
+            tuple(sum(v[k] for v in cc.cell_vertices[i]) / len(cc.cell_vertices[i]) for k in range(cc.dim))
+            for i in firsts
+        ]
 
 
 class TestInvariance:
