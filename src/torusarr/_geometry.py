@@ -1,9 +1,11 @@
-"""Small exact-geometry helpers shared by the region counter.
+"""Small exact-geometry helpers; no region count calls them.
 
-Integer matrix rank (fraction-free), affine rank of rational point sets,
-and convex polygon machinery in homogeneous integer coordinates: a planar
-point is a tuple (x, y, w) with w > 0 representing (x/w, y/w), so hulls,
-clipping, and orientation tests run entirely on Python ints.
+They hold ``hull_h``, which the tests' ``poly_area`` reference uses, and
+the names the benchmark's tracer wraps in ``torusarr.regions``: integer
+matrix rank (fraction-free), affine rank of rational point sets, and
+convex polygon machinery in homogeneous integer coordinates, where a
+planar point is a tuple (x, y, w) with w > 0 representing (x/w, y/w), so
+hulls, clipping, and orientation tests run entirely on Python ints.
 """
 
 from __future__ import annotations

@@ -21,10 +21,12 @@ nonzero i-th component relates two of them.
 Cells are tracked by their exact vertex sets (integer coordinate vectors
 over a common denominator), which makes every split decision a matter of
 evaluating signs of integer expressions: a sheet properly cuts a cell
-exactly when its affine form takes both signs on the vertex set. New
-vertices appear only on edges crossing the sheet and are recovered from
-vertex pairs of opposite sign followed by an exact rank test, so no
-floating point and no linear programming is needed anywhere in a count.
+exactly when its affine form takes both signs on the vertex set. Each
+vertex carries its tight set, the cube walls and sheets through it. As in
+the double description method, two vertices of opposite sign span an edge
+exactly when no third vertex is tight on every wall and sheet they share,
+and new vertices are cut out on those edges alone, so no floating point,
+no rank computation and no linear programming is needed in a count.
 
 Determinism: subtori are processed in input order, sheets in increasing
 offset; splitting emits the negative-side cell first. Rebuilding the same
@@ -40,12 +42,12 @@ from fractions import Fraction
 
 # Imported but not called here: feasible and relative_dim_is are re-exported
 # as part of this module's documented surface, and the benchmark's tracer
-# (perfbench/spans.py) wraps hull_h, hulls_overlap_h, affine_rank and
-# relative_dim_is by name in this module, so a missing name fails every
+# (perfbench/spans.py) wraps int_rank, hull_h, hulls_overlap_h, affine_rank
+# and relative_dim_is by name in this module, so a missing name fails every
 # traced op.
 from ._geometry import affine_rank, hull_h, hulls_overlap_h, int_rank  # noqa: F401
 from .arrangement import Arrangement, Subtorus, validate
-from .errors import DimensionMismatch, ResourceCapError
+from .errors import DimensionMismatch, InvalidParams, ResourceCapError
 from .feasibility import LinConstraint, feasible, relative_dim_is  # noqa: F401
 from .lattice import IntVec, hermite_basis, reduce_mod_lattice
 
@@ -105,9 +107,14 @@ def lift_hyperplanes(s: Subtorus, d: int) -> list[tuple[IntVec, Fraction]]:
 # Internal representation.
 #
 # Vertex: (nums, den) with den > 0 and gcd(*nums, den) = 1; coordinate k is
-# nums[k] / den. Constraint: (a, p, q, wall) meaning a . x <= p/q with q > 0;
-# its integer slack at a vertex is q * (a . nums) - p * den, which has the
-# sign of (a . x - p/q).
+# nums[k] / den. Tight set: an int bitmask per vertex. Bit 2i is the wall
+# x_i >= 0, bit 2i + 1 the wall x_i <= 1 and bit 2d + j sheet j. A sheet
+# a . x = p/q has integer slack q * (a . nums) - p * den at a vertex, with
+# the sign of (a . x - p/q).
+#
+# Every wall and every processed sheet is a valid inequality for every
+# cell, so a vertex's mask is its tight set among them, and the masks
+# common to two vertices cut out the smallest face containing both.
 # --------------------------------------------------------------------------
 
 
@@ -128,58 +135,38 @@ def _point_fractions(pt) -> tuple[Fraction, ...]:
 
 
 class _Cell:
-    __slots__ = ("cons", "verts", "signs")
+    """Vertices, their tight masks, the sign per sheet and the mask of the
+    sheets that split an ancestor."""
 
-    def __init__(self, cons, verts, signs):
-        self.cons = cons
+    __slots__ = ("verts", "tight", "signs", "cut")
+
+    def __init__(self, verts, tight, signs, cut):
         self.verts = verts
+        self.tight = tight
         self.signs = signs
+        self.cut = cut
 
 
-def _slack(con, pt) -> int:
-    a, p, q, _ = con
-    nums, den = pt
-    acc = 0
-    for av, nv in zip(a, nums):
-        if av:
-            acc += av * nv
-    return q * acc - p * den
+def _split_cell(cell: _Cell, vals, bit: int, d: int) -> list[_Cell]:
+    """Split along the sheet with mask ``bit`` and vertex slacks ``vals``,
+    negative side first.
 
-
-def _make_cell(cons, candidates, signs, d) -> _Cell:
-    """Filter candidate points down to the true vertex set and prune
-    constraints that are nowhere tight on it."""
-    seen = set()
-    kept: list[tuple[tuple[int, ...], int]] = []
-    kept_tight: list[list[int]] = []
-    for pt in candidates:
-        if pt in seen:
-            continue
-        seen.add(pt)
-        tight = [ci for ci, con in enumerate(cons) if _slack(con, pt) == 0]
-        if len(tight) < d:
-            continue
-        if int_rank([cons[ci][0] for ci in tight]) == d:
-            kept.append(pt)
-            kept_tight.append(tight)
-    if len(kept) < d + 1:
-        raise RuntimeError("internal: cell lost full dimension during split")
-    used = set()
-    for tight in kept_tight:
-        used.update(tight)
-    pruned = [con for ci, con in enumerate(cons) if ci in used]
-    return _Cell(pruned, kept, signs)
-
-
-def _split_cell(cell: _Cell, a, p, q, vals) -> tuple[_Cell, _Cell]:
-    d = len(a)
+    A (+, -) vertex pair spans an edge exactly when their common mask has
+    at least d - 1 bits and no third vertex's mask contains it. Only edges
+    get a crossing point, tight on exactly that mask and the new sheet.
+    """
     crosses: list[tuple[tuple[int, ...], int]] = []
-    cross_seen = set()
-    for (v, sv) in zip(cell.verts, vals):
+    cross_tight: list[int] = []
+    for (v, sv, tv) in zip(cell.verts, vals, cell.tight):
         if sv <= 0:
             continue
-        for (w, sw) in zip(cell.verts, vals):
+        for (w, sw, tw) in zip(cell.verts, vals, cell.tight):
             if sw >= 0:
+                continue
+            common = tv & tw
+            if common.bit_count() < d - 1:
+                continue
+            if sum(1 for tu in cell.tight if tu & common == common) > 2:
                 continue
             alpha, beta = v[1], w[1]
             t_num = sv * beta
@@ -188,89 +175,101 @@ def _split_cell(cell: _Cell, a, p, q, vals) -> tuple[_Cell, _Cell]:
                 (b_num - t_num) * beta * nv + t_num * alpha * nw
                 for nv, nw in zip(v[0], w[0])
             ]
-            pt = _mk_point(nums, b_num * alpha * beta)
-            if pt not in cross_seen:
-                cross_seen.add(pt)
-                crosses.append(pt)
-    minus_cand = [v for v, s in zip(cell.verts, vals) if s <= 0] + crosses
-    plus_cand = [v for v, s in zip(cell.verts, vals) if s >= 0] + crosses
-    neg_a = tuple(-x for x in a)
-    minus = _make_cell(cell.cons + [(a, p, q, False)], minus_cand, cell.signs + [-1], d)
-    plus = _make_cell(cell.cons + [(neg_a, -p, q, False)], plus_cand, cell.signs + [1], d)
-    return minus, plus
+            crosses.append(_mk_point(nums, b_num * alpha * beta))
+            cross_tight.append(common | bit)
+    children = []
+    for sign in (-1, 1):
+        keep = [k for k, s in enumerate(vals) if s * sign >= 0]
+        if len(keep) + len(crosses) < d + 1:
+            raise RuntimeError("internal: cell lost full dimension during split")
+        children.append(
+            _Cell(
+                [cell.verts[k] for k in keep] + crosses,
+                [cell.tight[k] for k in keep] + cross_tight,
+                cell.signs + [sign],
+                cell.cut | bit,
+            )
+        )
+    return children
 
 
 def _initial_cube(d: int) -> _Cell:
-    cons = []
-    for i in range(d):
-        low = tuple(-1 if j == i else 0 for j in range(d))
-        high = tuple(1 if j == i else 0 for j in range(d))
-        cons.append((low, 0, 1, True))
-        cons.append((high, 1, 1, True))
     verts = []
+    tight = []
     for mask in range(1 << d):
-        verts.append((tuple((mask >> j) & 1 for j in range(d)), 1))
-    return _Cell(cons, verts, [])
+        coords = tuple((mask >> j) & 1 for j in range(d))
+        verts.append((coords, 1))
+        tight.append(sum(1 << (2 * j + x) for j, x in enumerate(coords)))
+    return _Cell(verts, tight, [], 0)
 
 
 def _collect_sheets(arr: Arrangement, max_sheets: int | None):
+    """The lifted sheets, each subtorus's together in increasing offset, and
+    the (start, stop) range of every subtorus's sheets in that list."""
     cap = DEFAULT_MAX_SHEETS if max_sheets is None else max_sheets
+    if cap < 0:
+        raise InvalidParams(f"the sheet cap must be non-negative, got {cap}")
     sheets: list[tuple[IntVec, Fraction]] = []
+    runs: list[tuple[int, int]] = []
     for torus in arr.tori:
+        start = len(sheets)
         sheets.extend(lift_hyperplanes(torus, arr.dim))
+        runs.append((start, len(sheets)))
     if len(sheets) > cap:
         raise ResourceCapError(
             f"arrangement lifts to {len(sheets)} hyperplane sheets, exceeding the cap of "
             f"{cap}; raise the cap (TORUSARR_MAX_SHEETS / max_sheets) only if you accept "
             f"the cost"
         )
-    return sheets
+    return sheets, runs
 
 
 def _build(arr: Arrangement, max_sheets: int | None):
     validate(arr)
     d = arr.dim
-    sheets = _collect_sheets(arr, max_sheets)
+    sheets, runs = _collect_sheets(arr, max_sheets)
     cells = [_initial_cube(d)]
-    for a, rhs in sheets:
+    for j, (a, rhs) in enumerate(sheets):
         p, q = rhs.numerator, rhs.denominator
-        con = (a, p, q, False)
+        bit = 1 << (2 * d + j)
         new_cells: list[_Cell] = []
         for cell in cells:
-            has_neg = False
-            has_pos = False
             vals = []
-            for v in cell.verts:
-                s = _slack(con, v)
+            for k, (nums, den) in enumerate(cell.verts):
+                s = q * sum(av * nv for av, nv in zip(a, nums) if av) - p * den
+                if s == 0:
+                    cell.tight[k] |= bit
                 vals.append(s)
-                if s < 0:
-                    has_neg = True
-                elif s > 0:
-                    has_pos = True
-            if has_neg and has_pos:
-                minus, plus = _split_cell(cell, a, p, q, vals)
-                new_cells.append(minus)
-                new_cells.append(plus)
+            if min(vals) < 0 < max(vals):
+                new_cells.extend(_split_cell(cell, vals, bit, d))
             else:
-                cell.signs.append(1 if has_pos else -1)
+                cell.signs.append(1 if max(vals) > 0 else -1)
                 new_cells.append(cell)
         cells = new_cells
-    return cells, sheets
+    return cells, sheets, runs
 
 
 def _to_public(cells, sheets, d, gluing, region_count) -> CellComplex:
+    walls = []
+    for i in range(d):
+        unit = tuple(Fraction(int(j == i)) for j in range(d))
+        walls.append(LinConstraint(tuple(-x for x in unit), Fraction(0), "<="))
+        walls.append(LinConstraint(unit, Fraction(1), "<="))
     polys = []
     verts = []
     for cell in cells:
-        constraints = tuple(
-            LinConstraint(
-                tuple(Fraction(x) for x in a),
-                Fraction(p, q),
-                "<=" if wall else "<",
-            )
-            for a, p, q, wall in cell.cons
-        )
-        polys.append(HPolytope(constraints, d))
+        used = 0
+        for mask in cell.tight:
+            used |= mask
+        constraints = [con for i, con in enumerate(walls) if used >> i & 1]
+        bounding = (cell.cut & used) >> 2 * d
+        for j, (a, rhs) in enumerate(sheets):
+            if bounding >> j & 1:
+                side = cell.signs[j]
+                constraints.append(
+                    LinConstraint(tuple(Fraction(-side * x) for x in a), -side * rhs, "<")
+                )
+        polys.append(HPolytope(tuple(constraints), d))
         verts.append(tuple(_point_fractions(v) for v in cell.verts))
     return CellComplex(
         dim=d,
@@ -283,20 +282,14 @@ def _to_public(cells, sheets, d, gluing, region_count) -> CellComplex:
     )
 
 
-def _region_keys(cells, arr: Arrangement) -> list[IntVec]:
+def _region_keys(cells, arr: Arrangement, runs) -> list[IntVec]:
     """Floor vector of every cell reduced modulo N Z^d; equal keys, same region.
 
-    ``_collect_sheets`` emits each subtorus's sheets together in increasing
-    offset, so coordinate t of the floor vector (less a constant) counts
-    the +1 signs in subtorus t's run of the sign vector.
+    ``runs`` holds each subtorus's range in the sign vector, whose sheets
+    ``_collect_sheets`` emits in increasing offset, so coordinate t of the
+    floor vector (less a constant) counts the +1 signs in run t.
     """
     basis = hermite_basis(zip(*(t.normal for t in arr.tori)))
-    runs = []
-    start = 0
-    for torus in arr.tori:
-        stop = start + len(lift_hyperplanes(torus, arr.dim))
-        runs.append((start, stop))
-        start = stop
     return [
         reduce_mod_lattice([cell.signs[i:j].count(1) for i, j in runs], basis)
         for cell in cells
@@ -309,18 +302,18 @@ def build_cells(arr: Arrangement, max_sheets: int | None = None, glue: bool = Fa
     With ``glue=True`` the cells are grouped into torus regions as well and
     ``gluing`` / ``region_count`` are populated.
     """
-    cells, sheets = _build(arr, max_sheets)
+    cells, sheets, runs = _build(arr, max_sheets)
     if glue:
         index: dict[IntVec, int] = {}
-        gluing = tuple(index.setdefault(k, len(index)) for k in _region_keys(cells, arr))
+        gluing = tuple(index.setdefault(k, len(index)) for k in _region_keys(cells, arr, runs))
         return _to_public(cells, sheets, arr.dim, gluing, len(index))
     return _to_public(cells, sheets, arr.dim, None, None)
 
 
 def count_regions(arr: Arrangement, max_sheets: int | None = None) -> int:
     """Number of connected components of the complement of the arrangement."""
-    cells, _ = _build(arr, max_sheets)
-    return len(set(_region_keys(cells, arr)))
+    cells, _, runs = _build(arr, max_sheets)
+    return len(set(_region_keys(cells, arr, runs)))
 
 
 def _centroid(cell: _Cell, d: int) -> tuple[Fraction, ...]:
@@ -336,8 +329,8 @@ def region_witnesses(arr: Arrangement, max_sheets: int | None = None) -> list[tu
     The witness for a region is the vertex centroid of its lowest-index
     cell, which lies strictly inside that open cell.
     """
-    cells, _ = _build(arr, max_sheets)
+    cells, _, runs = _build(arr, max_sheets)
     first: dict[IntVec, int] = {}
-    for i, key in enumerate(_region_keys(cells, arr)):
+    for i, key in enumerate(_region_keys(cells, arr, runs)):
         first.setdefault(key, i)
     return [_centroid(cells[i], arr.dim) for i in first.values()]

@@ -69,6 +69,11 @@ class TestCount:
         assert main(["count", family_a]) == 3
         capsys.readouterr()
         assert main(["count", family_a, "--max-sheets", "64"]) == 0
+        capsys.readouterr()
+        assert main(["count", family_a, "--max-sheets", "-1"]) == 1
+        assert "non-negative" in capsys.readouterr().err
+        monkeypatch.setenv("TORUSARR_MAX_SHEETS", "-1")
+        assert main(["count", family_a]) == 1
 
     def test_bad_env_value(self, family_a, capsys, monkeypatch):
         monkeypatch.setenv("TORUSARR_MAX_SHEETS", "many")

@@ -14,8 +14,8 @@ from conftest import (
 )
 from torusarr._geometry import hull_h
 from torusarr.arrangement import Arrangement, Subtorus, subtorus_from_equation, transform, translate
-from torusarr.errors import DimensionMismatch, DuplicateSubtorus, ResourceCapError
-from torusarr.feasibility import feasible
+from torusarr.errors import DimensionMismatch, DuplicateSubtorus, InvalidParams, ResourceCapError
+from torusarr.feasibility import LinConstraint, feasible
 from torusarr.regions import (
     build_cells,
     count_regions,
@@ -131,6 +131,21 @@ class TestBuildCells:
         )
         assert blocked.gluing == (0, 1) and blocked.region_count == 2
 
+    def test_sheet_through_vertices_is_not_a_constraint(self):
+        # x + y = 0 and x + y = 1 touch the lower-left cell only at its
+        # vertices (0, 0) and (1/2, 1/2); neither bounds it.
+        arr = Arrangement(
+            2, (Subtorus((1, 0), F(1, 2)), Subtorus((0, 1), F(1, 2)), Subtorus((1, 1), F(0)))
+        )
+        cc = build_cells(arr)
+        lower_left = ((F(0), F(0)), (F(1, 2), F(0)), (F(0), F(1, 2)), (F(1, 2), F(1, 2)))
+        assert cc.cells[cc.cell_vertices.index(lower_left)].constraints == (
+            LinConstraint((F(-1), F(0)), F(0), "<="),
+            LinConstraint((F(0), F(-1)), F(0), "<="),
+            LinConstraint((F(1), F(0)), F(1, 2), "<"),
+            LinConstraint((F(0), F(1)), F(1, 2), "<"),
+        )
+
     def test_wall_coincident_sheets_never_cut(self):
         arr = Arrangement(2, (Subtorus((1, 0), F(0)),))
         cc = build_cells(arr)
@@ -223,6 +238,10 @@ class TestResourceCap:
         with pytest.raises(ResourceCapError):
             count_regions(arr, max_sheets=3)
         assert count_regions(arr, max_sheets=6) == 1
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(InvalidParams):
+            count_regions(Arrangement(2, ()), max_sheets=-1)
 
     def test_default_cap_is_64(self):
         tori = tuple(
@@ -359,66 +378,85 @@ def golden_arrangement(d, kind, seed):
     return Arrangement(d, tuple(tori))
 
 
+def _q(x) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
 def witness_digest(witnesses) -> str:
-    text = ";".join(",".join(f"{x.numerator}/{x.denominator}" for x in w) for w in witnesses)
+    text = ";".join(",".join(_q(x) for x in w) for w in witnesses)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-# (d, kind, seed) -> (f, witness_digest(region_witnesses(arr))), recorded
+def complex_digest(cc) -> str:
+    """Digest of the sheets and of every cell's constraints, vertices and signs, in order."""
+    parts = [";".join(",".join(map(str, a)) + ":" + _q(rhs) for a, rhs in cc.sheets)]
+    for poly, verts, signs in zip(cc.cells, cc.cell_vertices, cc.sign_vectors):
+        cons = ";".join(
+            ",".join(map(_q, c.normal)) + c.relation + _q(c.rhs) for c in poly.constraints
+        )
+        pts = ";".join(",".join(map(_q, v)) for v in verts)
+        parts.append(cons + "|" + pts + "|" + ",".join(map(str, signs)))
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+
+
+# (d, kind, seed) -> (f, witness_digest(region_witnesses(arr)),
+# complex_digest(build_cells(arr))). f and the witness digest were recorded
 # with the facet-gluing counter that lattice keys replaced: interval tests
 # in d = 2, polygon clipping in d = 3 and one exact LP per facet pair in
-# d >= 4. Seeds are 0 and 1 for d <= 3; for d >= 4 they are the first two
-# seeds of each kind whose unglued complex has at most 40 cells, so that
-# the LP route could record them in minutes.
+# d >= 4. The complex digest was recorded with the cube splitter that
+# filtered crossing candidates by slack and an integer rank test. Seeds are
+# 0 and 1 for d <= 3; for d >= 4 they are the first two seeds of each kind
+# whose unglued complex has at most 40 cells, so that the LP route could
+# record them in minutes.
 GOLDEN_REGIONS = {
-    (2, "random", 0): (26, "62a3205ce3752c68"),
-    (2, "random", 1): (7, "f76fa4ac1c320823"),
-    (2, "parallel", 0): (3, "9e69230f1b261866"),
-    (2, "parallel", 1): (3, "0a4124401c219811"),
-    (2, "coordinate", 0): (3, "222069473f29d3b9"),
-    (2, "coordinate", 1): (1, "175cccfd67b25049"),
-    (2, "nonessential", 0): (3, "df4735566c40d0c9"),
-    (2, "nonessential", 1): (4, "c8310afa58570745"),
-    (2, "concurrent", 0): (6, "16acfa2e82ba5e67"),
-    (2, "concurrent", 1): (3, "85cd0f574d979e40"),
-    (2, "bigden", 0): (2, "9e27d68b7cc4559d"),
-    (2, "bigden", 1): (15, "b973bcf7744e01dc"),
-    (3, "random", 0): (7, "f76df42575a49634"),
-    (3, "random", 1): (22, "f0a4a621e2960e9b"),
-    (3, "parallel", 0): (3, "4c327dc6af2ec1c6"),
-    (3, "parallel", 1): (3, "fa6524eefa6adfb9"),
-    (3, "coordinate", 0): (1, "98c227fca269227f"),
-    (3, "coordinate", 1): (2, "979caa1036b3d6a5"),
-    (3, "nonessential", 0): (17, "b8ec1e959af54c02"),
-    (3, "nonessential", 1): (8, "3d4a460da7eabd81"),
-    (3, "concurrent", 0): (7, "1016da7281fb3ca8"),
-    (3, "concurrent", 1): (6, "151b070a9d6b2cab"),
-    (3, "bigden", 0): (14, "96518c73a4502341"),
-    (3, "bigden", 1): (2, "719772b34b8a1b16"),
-    (4, "random", 3): (2, "67334a77639a713e"),
-    (4, "random", 5): (1, "c6b593af5d9b0245"),
-    (4, "parallel", 0): (2, "de342168af09ce56"),
-    (4, "parallel", 1): (2, "da9e0a9d79752d72"),
-    (4, "coordinate", 0): (1, "bccee3797b475d4f"),
-    (4, "coordinate", 1): (1, "963acc4d63a628d9"),
-    (4, "nonessential", 0): (1, "32659798211d49d4"),
-    (4, "nonessential", 1): (3, "b502e6d51c52efa3"),
-    (4, "concurrent", 0): (1, "e9afa6376b189c97"),
-    (4, "concurrent", 1): (2, "b81191e1714d7166"),
-    (4, "bigden", 0): (2, "f51b95bed3950338"),
-    (4, "bigden", 1): (3, "c5cd79bdc48f1e69"),
-    (5, "random", 0): (2, "5db1e2d3c2d23bb1"),
-    (5, "random", 3): (1, "d2a2c231d134558f"),
-    (5, "parallel", 1): (2, "797691bae16704ef"),
-    (5, "parallel", 2): (3, "f1ea160bcd085c24"),
-    (5, "coordinate", 0): (1, "3f5ba4c7ee3dc22f"),
-    (5, "coordinate", 1): (1, "cd66978f43b503ef"),
-    (5, "nonessential", 0): (1, "2be20b2967882b09"),
-    (5, "nonessential", 3): (1, "3d30672ec72900df"),
-    (5, "concurrent", 1): (1, "6d91a63a19d866ca"),
-    (5, "concurrent", 7): (1, "b37475d07a11df01"),
-    (5, "bigden", 0): (1, "9114407f2b91d3cb"),
-    (5, "bigden", 3): (1, "20bbf3509c69afab"),
+    (2, "random", 0): (26, "62a3205ce3752c68", "256d4185cd715d59"),
+    (2, "random", 1): (7, "f76fa4ac1c320823", "e257911a6dd7907d"),
+    (2, "parallel", 0): (3, "9e69230f1b261866", "9ae608ca36f36ab1"),
+    (2, "parallel", 1): (3, "0a4124401c219811", "e849cf0f652eb149"),
+    (2, "coordinate", 0): (3, "222069473f29d3b9", "b92c54b35d9907f9"),
+    (2, "coordinate", 1): (1, "175cccfd67b25049", "b0afefc8ba025b27"),
+    (2, "nonessential", 0): (3, "df4735566c40d0c9", "ee52981b00aba0af"),
+    (2, "nonessential", 1): (4, "c8310afa58570745", "010dccc20da85a64"),
+    (2, "concurrent", 0): (6, "16acfa2e82ba5e67", "b3346acedcfce6f6"),
+    (2, "concurrent", 1): (3, "85cd0f574d979e40", "689842301e7740ec"),
+    (2, "bigden", 0): (2, "9e27d68b7cc4559d", "38e686979b5a3904"),
+    (2, "bigden", 1): (15, "b973bcf7744e01dc", "93f415414c7db346"),
+    (3, "random", 0): (7, "f76df42575a49634", "022268d4161c20be"),
+    (3, "random", 1): (22, "f0a4a621e2960e9b", "794125af9c2c9701"),
+    (3, "parallel", 0): (3, "4c327dc6af2ec1c6", "5c61c4c18c0436a0"),
+    (3, "parallel", 1): (3, "fa6524eefa6adfb9", "5736b8d36f1e8450"),
+    (3, "coordinate", 0): (1, "98c227fca269227f", "239704ef0b3dd7e5"),
+    (3, "coordinate", 1): (2, "979caa1036b3d6a5", "cd85c35b61d91f5a"),
+    (3, "nonessential", 0): (17, "b8ec1e959af54c02", "a52ce02c13fd2120"),
+    (3, "nonessential", 1): (8, "3d4a460da7eabd81", "152111045255cfce"),
+    (3, "concurrent", 0): (7, "1016da7281fb3ca8", "df308c865b20d4fd"),
+    (3, "concurrent", 1): (6, "151b070a9d6b2cab", "c9d6784de2f7b5b4"),
+    (3, "bigden", 0): (14, "96518c73a4502341", "7976523f383203d8"),
+    (3, "bigden", 1): (2, "719772b34b8a1b16", "3ad191d390902a18"),
+    (4, "random", 3): (2, "67334a77639a713e", "6ec0d2e7cac8db76"),
+    (4, "random", 5): (1, "c6b593af5d9b0245", "b3b5019959f4e71d"),
+    (4, "parallel", 0): (2, "de342168af09ce56", "02a57a489ca460b7"),
+    (4, "parallel", 1): (2, "da9e0a9d79752d72", "a4606d9bd5b6ca6f"),
+    (4, "coordinate", 0): (1, "bccee3797b475d4f", "3cf5214c8664946b"),
+    (4, "coordinate", 1): (1, "963acc4d63a628d9", "1064c57b97509428"),
+    (4, "nonessential", 0): (1, "32659798211d49d4", "d2d989564ea7bac2"),
+    (4, "nonessential", 1): (3, "b502e6d51c52efa3", "961060ce27d47800"),
+    (4, "concurrent", 0): (1, "e9afa6376b189c97", "95bf36decda02a30"),
+    (4, "concurrent", 1): (2, "b81191e1714d7166", "fbecd4e3c7dd1bbb"),
+    (4, "bigden", 0): (2, "f51b95bed3950338", "3299f18d49168301"),
+    (4, "bigden", 1): (3, "c5cd79bdc48f1e69", "b91029c453deb2e2"),
+    (5, "random", 0): (2, "5db1e2d3c2d23bb1", "db450f0e1717cccb"),
+    (5, "random", 3): (1, "d2a2c231d134558f", "926b3e528e1dbe3b"),
+    (5, "parallel", 1): (2, "797691bae16704ef", "8405b1bc6181c696"),
+    (5, "parallel", 2): (3, "f1ea160bcd085c24", "a3214ea9a60f5f6b"),
+    (5, "coordinate", 0): (1, "3f5ba4c7ee3dc22f", "2043ad3356c0f311"),
+    (5, "coordinate", 1): (1, "cd66978f43b503ef", "be73f4216463c45c"),
+    (5, "nonessential", 0): (1, "2be20b2967882b09", "69997f16043418a6"),
+    (5, "nonessential", 3): (1, "3d30672ec72900df", "85095e977a4cdf83"),
+    (5, "concurrent", 1): (1, "6d91a63a19d866ca", "aaa03d55175ecb50"),
+    (5, "concurrent", 7): (1, "b37475d07a11df01", "0a00751985fbe7a6"),
+    (5, "bigden", 0): (1, "9114407f2b91d3cb", "8e52c782b4faa704"),
+    (5, "bigden", 3): (1, "20bbf3509c69afab", "d0a560c096fe3376"),
 }
 
 
@@ -426,11 +464,12 @@ class TestGoldenRegions:
     @pytest.mark.parametrize("case", list(GOLDEN_REGIONS), ids=lambda c: "%d-%s-%d" % c)
     def test_count_and_witnesses_match_recorded_values(self, case):
         arr = golden_arrangement(*case)
-        f, digest = GOLDEN_REGIONS[case]
+        f, digest, cdigest = GOLDEN_REGIONS[case]
         witnesses = region_witnesses(arr)
         assert (len(witnesses), witness_digest(witnesses)) == (f, digest)
         assert count_regions(arr) == f
         cc = build_cells(arr, glue=True)
+        assert complex_digest(cc) == cdigest
         assert cc.region_count == f and set(cc.gluing) == set(range(f))
         # Regions are numbered by their lowest-index cell, whose vertex
         # centroid is the region's witness.
