@@ -3,9 +3,10 @@
 Multi-gcds with Bezout certificates, completion of a primitive covector to a
 determinant-one integer matrix, the squared metric data of an integer
 hyperplane, the gcd of all 2x2 minors of a pair of vectors (used as an
-independent oracle for pairwise intersection counts), and the Hermite normal
+independent oracle for pairwise intersection counts), the Hermite normal
 form of an integer lattice with canonical coset representatives (used to
-identify torus regions).
+identify torus regions), and the adjugate of a square matrix with the cosets
+of its column lattice (used to list the intersection points of subtori).
 
 Everything runs on arbitrary-precision integers; no floating point anywhere.
 All functions are pure and all returned values are immutable, so the module
@@ -14,6 +15,7 @@ is safe for concurrent use.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -300,3 +302,52 @@ def reduce_mod_lattice(v, basis) -> IntVec:
         if q:
             out = [u - q * w for u, w in zip(out, b)]
     return tuple(out)
+
+
+def adjugate(rows) -> tuple[IntMatrix, int] | None:
+    """Adjugate and determinant of a nonsingular square integer matrix A, or
+    None when det(A) = 0; A @ adj(A) = det(A) I.
+
+    Fraction-free Gauss-Jordan elimination of (A | I), Bareiss's exact
+    division by the previous pivot applied above the pivot as well, leaves
+    (det I | adj A) up to the sign of the row swaps; a column with no pivot
+    shows that A is singular.
+    """
+    a = tuple(as_intvec(r) for r in rows)
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise DimensionMismatch("matrix is not square")
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return None
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[k]
+                m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
+    return tuple(tuple(sign * x for x in row[n:]) for row in m), sign * prev
+
+
+def coset_representatives(rows) -> tuple[IntVec, ...]:
+    """One vector of each coset of A Z^r in Z^r, for a nonsingular r x r integer A.
+
+    The Hermite basis of A's columns is upper triangular with diagonal
+    h_1, ..., h_r and |det A| = h_1 ... h_r, so the vectors k with
+    0 <= k_i < h_i are the canonical representatives that
+    ``reduce_mod_lattice`` returns, one per coset.
+    """
+    a = tuple(as_intvec(r) for r in rows)
+    if any(len(r) != len(a) for r in a):
+        raise DimensionMismatch("matrix is not square")
+    basis = hermite_basis(zip(*a))
+    if len(basis) != len(a):
+        raise InvalidInput("a singular matrix has infinitely many cosets")
+    return tuple(itertools.product(*(range(b[i]) for i, b in enumerate(basis))))

@@ -1,6 +1,26 @@
 """Exact region counting for subtorus arrangements.
 
-The complement of an arrangement is counted on the fundamental cube
+``count_regions`` counts by the toric vertex sum and builds no cells.
+Let N be the matrix whose rows are the normals a_t and r its rank. The
+Hermite basis of the lattice N Z^d (spanned by N's columns) has r rows; its
+column t is a primitive m_t in Z^r, and N Z^d = M Z^r for the matrix M with
+rows m_t. So N = M P for an integer P that maps Z^d onto Z^r, x -> P x
+maps T^d onto T^r with connected fibres, and the regions are the preimages
+of those of the essential arrangement {m_t . y = c_t} in T^r. There every
+region is an open cell, and f = sum over the intersection points p of
+|mu(0, 1)| in the lattice of flats of the subtori through p (toric
+Zaslavsky: Ehrenborg, Readdy and Slone, "Affine and toric hyperplane
+arrangements", 2009; Moci, "A Tutte polynomial for toric arrangements",
+2012). A point on exactly r subtori contributes 1. The points come from
+the r-subsets S with det A_S != 0 (A_S has rows m_t, t in S): they are
+A_S^{-1} (c_S + k) mod Z^r for the |det A_S| coset representatives k of
+A_S Z^r, computed with the integer adjugate, and the subtori through a
+point are the union of the subsets that yield it. Parallel subtori share
+a normal, so the adjugate and the cosets are computed once per set of r
+distinct normals. The local term comes from the Moebius recursion over
+the flats of the point's normals.
+
+``build_cells`` and ``region_witnesses`` decompose the fundamental cube
 [0, 1]^d. Every subtorus lifts to the finitely many parallel hyperplane
 sheets that meet the cube; the cube is then split incrementally, sheet by
 sheet, into open convex cells.
@@ -8,15 +28,14 @@ sheet, into open convex cells.
 Regions are then identified algebraically. In R^d the complement of the
 lifted arrangement falls into the convex cells
 P_K = {x : floor(a_t . x - c_t) = K_t for every subtorus t}, and Z^d
-acts on them by K -> K + N v, where N is the matrix whose rows are the
-normals a_t. The torus regions are the orbits of this action. Every cube
-cell lies in one P_K, and K_t is, up to a constant shift per subtorus,
-the number of subtorus t's sheets on whose positive side the cell lies.
-So a cell's key is its floor vector K reduced modulo the lattice N Z^d
-(``torusarr.lattice.hermite_basis``), and cells lie in the same region
-exactly when their keys agree. A subtorus x_i = 0 needs no special case:
-all cube cells share its coordinate of K, so no translation with a
-nonzero i-th component relates two of them.
+acts on them by K -> K + N v. The torus regions are the orbits of this
+action. Every cube cell lies in one P_K, and K_t is, up to a constant
+shift per subtorus, the number of subtorus t's sheets on whose positive
+side the cell lies. So a cell's key is its floor vector K reduced modulo
+the lattice N Z^d (``torusarr.lattice.hermite_basis``), and cells lie in
+the same region exactly when their keys agree. A subtorus x_i = 0 needs no
+special case: all cube cells share its coordinate of K, so no translation
+with a nonzero i-th component relates two of them.
 
 Cells are tracked by their exact vertex sets (integer coordinate vectors
 over a common denominator), which makes every split decision a matter of
@@ -26,7 +45,7 @@ vertex carries its tight set, the cube walls and sheets through it. As in
 the double description method, two vertices of opposite sign span an edge
 exactly when no third vertex is tight on every wall and sheet they share,
 and new vertices are cut out on those edges alone, so no floating point,
-no rank computation and no linear programming is needed in a count.
+no rank computation and no linear programming is needed on either route.
 
 Determinism: subtori are processed in input order, sheets in increasing
 offset; splitting emits the negative-side cell first. Rebuilding the same
@@ -36,9 +55,11 @@ the order of their lowest-index cell.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 # Imported but not called here: feasible and relative_dim_is are re-exported
 # as part of this module's documented surface, and the benchmark's tracer
@@ -49,7 +70,7 @@ from ._geometry import affine_rank, hull_h, hulls_overlap_h, int_rank  # noqa: F
 from .arrangement import Arrangement, Subtorus, validate
 from .errors import DimensionMismatch, InvalidParams, ResourceCapError
 from .feasibility import LinConstraint, feasible, relative_dim_is  # noqa: F401
-from .lattice import IntVec, hermite_basis, reduce_mod_lattice
+from .lattice import IntVec, adjugate, coset_representatives, hermite_basis, reduce_mod_lattice
 
 DEFAULT_MAX_SHEETS = 64
 
@@ -282,6 +303,11 @@ def _to_public(cells, sheets, d, gluing, region_count) -> CellComplex:
     )
 
 
+def _normal_basis(arr: Arrangement) -> tuple[IntVec, ...]:
+    """Hermite basis of N Z^d, the lattice spanned by the normal matrix's columns."""
+    return hermite_basis(zip(*(t.normal for t in arr.tori)))
+
+
 def _region_keys(cells, arr: Arrangement, runs) -> list[IntVec]:
     """Floor vector of every cell reduced modulo N Z^d; equal keys, same region.
 
@@ -289,7 +315,7 @@ def _region_keys(cells, arr: Arrangement, runs) -> list[IntVec]:
     ``_collect_sheets`` emits in increasing offset, so coordinate t of the
     floor vector (less a constant) counts the +1 signs in run t.
     """
-    basis = hermite_basis(zip(*(t.normal for t in arr.tori)))
+    basis = _normal_basis(arr)
     return [
         reduce_mod_lattice([cell.signs[i:j].count(1) for i, j in runs], basis)
         for cell in cells
@@ -310,10 +336,106 @@ def build_cells(arr: Arrangement, max_sheets: int | None = None, glue: bool = Fa
     return _to_public(cells, sheets, arr.dim, None, None)
 
 
+def _primitive(v: list[int]) -> IntVec:
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def _local_term(normals: tuple[IntVec, ...]) -> int:
+    """|mu(0, 1)| of the central arrangement in R^r with these normals.
+
+    The normals span R^r and no two are parallel. Flats are found rank by
+    rank, each as the mask of the normals vanishing on it with an integer
+    basis of its subspace X; the flat above it through hyperplane t is the
+    intersection of X with t's hyperplane, and the flats above a flat
+    partition the hyperplanes outside it. mu(0, X) is minus the sum of mu
+    over the flats whose masks lie inside X's, and mu(0, 1) minus the sum
+    over all flats below the point.
+    """
+    r = len(normals[0])
+    full = (1 << len(normals)) - 1
+    mu = {0: 1}
+    level = {0: [tuple(int(i == j) for j in range(r)) for i in range(r)]}
+    for _ in range(r - 1):
+        above: dict[int, list[IntVec]] = {}
+        for mask, space in level.items():
+            rest = full & ~mask
+            while rest:
+                t = (rest & -rest).bit_length() - 1
+                vals = [sum(map(mul, normals[t], v)) for v in space]
+                p = next(i for i, val in enumerate(vals) if val)
+                sub = [
+                    _primitive([vals[p] * x - val * y for x, y in zip(v, space[p])])
+                    for i, (v, val) in enumerate(zip(space, vals))
+                    if i != p
+                ]
+                flat = 0
+                for s, a in enumerate(normals):
+                    if not any(sum(map(mul, a, v)) for v in sub):
+                        flat |= 1 << s
+                rest &= ~flat
+                above.setdefault(flat, sub)
+        for flat in above:
+            mu[flat] = -sum(m for y, m in mu.items() if y & flat == y)
+        level = above
+    return abs(sum(mu.values()))
+
+
 def count_regions(arr: Arrangement, max_sheets: int | None = None) -> int:
-    """Number of connected components of the complement of the arrangement."""
-    cells, _, runs = _build(arr, max_sheets)
-    return len(set(_region_keys(cells, arr, runs)))
+    """Number of connected components of the complement of the arrangement.
+
+    Counted by the vertex sum over the intersection points of the reduced,
+    essential arrangement, with no cells (see the module docstring).
+    """
+    validate(arr)
+    _collect_sheets(arr, max_sheets)
+    if not arr.tori:
+        return 1
+    basis = _normal_basis(arr)
+    r = len(basis)
+    normals = list(zip(*basis))
+    # Each intersection point (numerators mod den, den in lowest terms) and
+    # the mask of the subtori through it.
+    through: dict[tuple[IntVec, int], int] = {}
+    # Subtori are parallel exactly when their normals agree: no two are
+    # opposite, since the a_t are sign-normalized.
+    parallel: dict[IntVec, list[int]] = {}
+    for t, a in enumerate(normals):
+        parallel.setdefault(a, []).append(t)
+    for classes in itertools.combinations(parallel.items(), r):
+        rows = [a for a, _ in classes]
+        inverse = adjugate(rows)
+        if inverse is None:
+            continue
+        adj, det = inverse
+        if det < 0:
+            adj = [[-x for x in row] for row in adj]
+        cosets = coset_representatives(rows)
+        for subset in itertools.product(*(ts for _, ts in classes)):
+            offsets = [arr.tori[t].offset for t in subset]
+            q = math.lcm(*(c.denominator for c in offsets))
+            den = q * abs(det)
+            # y = adj (c + k) / det = (adj (q c) + q adj k) / den
+            qc = [c.numerator * (q // c.denominator) for c in offsets]
+            base = [sum(map(mul, row, qc)) for row in adj]
+            step = [[q * x for x in row] for row in adj]
+            mask = sum(1 << t for t in subset)
+            for k in cosets:
+                nums = [(b + sum(map(mul, row, k))) % den for b, row in zip(base, step)]
+                g = math.gcd(den, *nums)
+                point = (tuple(v // g for v in nums), den // g)
+                through[point] = through.get(point, 0) | mask
+    local: dict[tuple[IntVec, ...], int] = {}
+    f = 0
+    for mask in through.values():
+        if mask.bit_count() == r:
+            f += 1
+            continue
+        key = tuple(normals[t] for t in range(arr.n) if mask >> t & 1)
+        if key not in local:
+            local[key] = _local_term(key)
+        f += local[key]
+    return f
 
 
 def _centroid(cell: _Cell, d: int) -> tuple[Fraction, ...]:

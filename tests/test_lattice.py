@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from conftest import random_primitive_vector, random_unimodular
 from torusarr.errors import DimensionMismatch, InvalidInput, NonPrimitive
 from torusarr.lattice import (
+    adjugate,
     bezout_chain,
     complete_to_unimodular,
+    coset_representatives,
     covector_times_matrix,
     det_int,
     gcd_vec,
@@ -315,3 +317,60 @@ class TestHermiteBasis:
         basis = hermite_basis([(1, 1)])
         keys = {reduce_mod_lattice((a, b), basis) for a in range(-3, 4) for b in range(-3, 4)}
         assert keys == {(0, b) for b in range(-6, 7)}
+
+
+square_matrices = st.integers(1, 5).flatmap(
+    lambda r: st.lists(st.lists(st.integers(-4, 4), min_size=r, max_size=r), min_size=r, max_size=r)
+)
+
+
+class TestAdjugate:
+    def test_worked_example(self):
+        assert adjugate([(2, 1), (5, 3)]) == (((3, -1), (-5, 2)), 1)
+        assert adjugate([(0, 1), (1, 0)]) == (((0, -1), (-1, 0)), -1)
+        assert adjugate([(-3,)]) == (((1,),), -3)
+        assert adjugate([(1, 2), (2, 4)]) is None
+
+    def test_not_square_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            adjugate([(1, 2, 3), (4, 5, 6)])
+
+    @given(square_matrices)
+    def test_times_matrix_is_det_times_identity(self, rows):
+        det = det_int(rows)
+        inverse = adjugate(rows)
+        if det == 0:
+            assert inverse is None
+            return
+        adj, d = inverse
+        r = len(rows)
+        scaled = tuple(tuple(det * (i == j) for j in range(r)) for i in range(r))
+        assert d == det
+        assert matmul_int(rows, adj) == scaled
+        assert matmul_int(adj, rows) == scaled
+
+
+class TestCosetRepresentatives:
+    def test_worked_example(self):
+        # 2Z x 3Z has the six cosets of Z/2 x Z/3.
+        assert coset_representatives([(2, 0), (0, 3)]) == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
+        assert coset_representatives([(1, 0), (0, -1)]) == ((0, 0),)
+
+    def test_singular_rejected(self):
+        with pytest.raises(InvalidInput):
+            coset_representatives([(1, 2), (2, 4)])
+        with pytest.raises(DimensionMismatch):
+            coset_representatives([(1, 2, 3), (4, 5, 6)])
+
+    @given(square_matrices)
+    def test_one_per_coset(self, rows):
+        det = det_int(rows)
+        if det == 0:
+            return
+        reps = coset_representatives(rows)
+        assert len(reps) == abs(det)
+        # k and k' lie in one coset exactly when A^-1 (k - k') is integral,
+        # that is when adj(A) k = adj(A) k' mod det(A).
+        adj, _ = adjugate(rows)
+        images = {tuple(sum(a * x for a, x in zip(row, k)) % det for row in adj) for k in reps}
+        assert len(images) == len(reps)

@@ -1,9 +1,13 @@
 import hashlib
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     euler_oracle_f,
@@ -12,11 +16,13 @@ from conftest import (
     random_subtorus,
     random_unimodular,
 )
+from torusarr import regions
 from torusarr._geometry import hull_h
 from torusarr.arrangement import Arrangement, Subtorus, subtorus_from_equation, transform, translate
 from torusarr.errors import DimensionMismatch, DuplicateSubtorus, InvalidParams, ResourceCapError
 from torusarr.feasibility import LinConstraint, feasible
 from torusarr.regions import (
+    _local_term,
     build_cells,
     count_regions,
     lift_hyperplanes,
@@ -186,7 +192,8 @@ class TestCountRegions:
         assert count_regions(unblocked) == 2
 
     def test_empty_arrangement(self):
-        assert count_regions(Arrangement(3, ())) == 1
+        for d in range(1, 5):
+            assert count_regions(Arrangement(d, ())) == 1
 
     def test_dimension_one(self):
         one = Arrangement(1, (Subtorus((1,), F(0)),))
@@ -198,6 +205,11 @@ class TestCountRegions:
             (Subtorus((1,), F(1, 4)), Subtorus((1,), F(1, 2)), Subtorus((1,), F(3, 4))),
         )
         assert count_regions(three) == 3
+        rng = random.Random(39)
+        for n in range(1, 9):
+            q = rng.randint(n, 3 * n)
+            arr = Arrangement(1, tuple(Subtorus((1,), F(p, q)) for p in rng.sample(range(q), n)))
+            assert count_regions(arr) == n
 
     def test_always_at_least_one_region(self):
         rng = random.Random(34)
@@ -218,6 +230,13 @@ class TestCountRegions:
         with pytest.raises(DuplicateSubtorus):
             count_regions(arr)
 
+    def test_validation_before_the_sheet_cap(self):
+        arr = Arrangement(2, (Subtorus((3, -2), F(1, 2)), Subtorus((3, -2), F(1, 2))))
+        with pytest.raises(DuplicateSubtorus):
+            count_regions(arr, max_sheets=1)
+        with pytest.raises(DimensionMismatch):
+            count_regions(Arrangement(3, (Subtorus((1, 0), F(0)),)), max_sheets=-1)
+
     def test_matches_independent_euler_oracle(self):
         rng = random.Random(36)
         checked = 0
@@ -232,6 +251,70 @@ class TestCountRegions:
             checked += 1
 
 
+def _through_origin(normals):
+    return Arrangement(len(normals[0]), tuple(subtorus_from_equation(a, 0) for a in normals))
+
+
+class TestVertexSum:
+    def test_count_builds_no_cells(self, monkeypatch):
+        def no_cells(*args):
+            raise AssertionError("count_regions built cells")
+
+        monkeypatch.setattr(regions, "_build", no_cells)
+        rng = random.Random(41)
+        for _ in range(20):
+            d = rng.choice([1, 2, 3, 4])
+            arr = random_arrangement(rng, d, rng.randint(0, 4), bound=2)
+            count_regions(arr, max_sheets=10**6)
+        with pytest.raises(AssertionError):
+            build_cells(arr)
+
+    def test_point_on_k_lines_of_the_plane_contributes_k_minus_1(self):
+        lines = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2)]
+        for k in range(2, len(lines) + 1):
+            assert _local_term(tuple(lines[:k])) == k - 1
+
+    def test_four_generic_planes_through_a_point_contribute_3(self):
+        assert _local_term(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))) == 3
+
+    def test_planes_with_a_common_line(self):
+        # Three planes through one line and a fourth plane: the line's flat
+        # has mu = 2, every other line mu = 1, so mu(0, 1) = -(1 - 4 + 2 + 3).
+        assert _local_term(((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1))) == 2
+
+    def test_local_terms_in_a_count(self):
+        # Four lines through the origin of T^2: the origin contributes 3,
+        # and x + y = 0 and x - y = 0 cross once more, at (1/2, 1/2).
+        arr = _through_origin([(1, 0), (0, 1), (1, 1), (1, -1)])
+        assert count_regions(arr) == build_cells(arr, glue=True).region_count == 4
+
+    def test_nineteen_subtori_through_one_point(self):
+        # The 19 primitive normals of T^3 of smallest l1 norm (the first
+        # six of l1 norm 3 with an entry 2), all through the origin: 64
+        # sheets. A local term summed over all 2^19 subsets of the normals
+        # at the origin would take tens of seconds here.
+        normals = sorted(
+            {subtorus_from_equation(v, 0).normal for v in itertools.product(range(-2, 3), repeat=3) if any(v)},
+            key=lambda a: (sum(map(abs, a)), max(map(abs, a)), a),
+        )[:19]
+        arr = _through_origin(normals)
+        assert sum(len(lift_hyperplanes(t, 3)) for t in arr.tori) == 64
+        start = time.perf_counter()
+        f = count_regions(arr)
+        assert time.perf_counter() - start < 5
+        assert f == 500 == build_cells(arr, glue=True).region_count
+
+    def test_many_parallel_subtori_beyond_the_sheet_cap(self):
+        # 100 parallel subtori and two more: of the 171700 triples only the
+        # 100 with one normal each are independent, and they share one
+        # adjugate, so the count must not try the triples one by one.
+        tori = tuple(Subtorus((1, 0, 0), F(k, 200)) for k in range(100))
+        arr = Arrangement(3, tori + (Subtorus((0, 1, 0), F(0)), Subtorus((0, 0, 1), F(1, 3))))
+        start = time.perf_counter()
+        assert count_regions(arr, max_sheets=10**6) == 100
+        assert time.perf_counter() - start < 1
+
+
 class TestResourceCap:
     def test_cap_triggers(self):
         arr = Arrangement(2, (Subtorus((3, -2), F(1, 2)),))
@@ -240,8 +323,9 @@ class TestResourceCap:
         assert count_regions(arr, max_sheets=6) == 1
 
     def test_negative_cap_rejected(self):
-        with pytest.raises(InvalidParams):
-            count_regions(Arrangement(2, ()), max_sheets=-1)
+        for d in range(1, 5):
+            with pytest.raises(InvalidParams):
+                count_regions(Arrangement(d, ()), max_sheets=-1)
 
     def test_default_cap_is_64(self):
         tori = tuple(
@@ -497,3 +581,60 @@ class TestInvariance:
                 continue
             assert count_regions(translate(arr, t)) == f
             done += 1
+
+
+# Sheets allowed per dimension in the differential test, so that the cell
+# route stays within about 0.1 s per example.
+DIFFERENTIAL_MAX_SHEETS = {1: 10, 2: 24, 3: 24, 4: 14, 5: 12}
+
+
+@st.composite
+def degenerate_arrangements(draw):
+    """An arrangement in T^1..T^5 with the degenerate features the flags
+    force: several subtori through one point, normals of rank < d (last
+    coordinate 0), subtori x_i = 0 and offset denominators near 10**18."""
+    d = draw(st.integers(1, 5))
+    bound = 2 if d <= 3 else 1
+    deficient = d > 1 and draw(st.booleans())
+    big = draw(st.booleans())
+    free = d - 1 if deficient else d
+    normals = st.lists(st.integers(-bound, bound), min_size=free, max_size=free).filter(any)
+
+    def offset():
+        if big:
+            q = draw(st.integers(10**18 - 10**3, 10**18 + 10**3))
+            return F(draw(st.integers(0, q - 1)), q)
+        return F(draw(st.integers(0, 5)), 6)
+
+    def subtorus(c=None):
+        a = draw(normals) + [0] * (d - free)
+        return subtorus_from_equation(a, offset() if c is None else c(a))
+
+    tori = [subtorus() for _ in range(draw(st.integers(0, 3 if d <= 3 else 2)))]
+    if d > 1 and draw(st.booleans()):
+        point = [F(draw(st.integers(0, 3)), 4) for _ in range(d)]
+        for _ in range(draw(st.integers(3, 4))):
+            tori.append(subtorus(lambda a: sum(x * p for x, p in zip(a, point))))
+    for i in draw(st.sets(st.integers(0, free - 1), max_size=2)):
+        tori.append(_axis(d, i))
+    tori = list(dict.fromkeys(tori))
+    assume(sum(len(lift_hyperplanes(t, d)) for t in tori) <= DIFFERENTIAL_MAX_SHEETS[d])
+    return Arrangement(d, tuple(tori))
+
+
+class TestDifferential:
+    @settings(max_examples=120, deadline=None)
+    @given(degenerate_arrangements())
+    def test_vertex_sum_equals_the_cell_count(self, arr):
+        assert count_regions(arr) == build_cells(arr, glue=True).region_count
+
+    @settings(max_examples=80, deadline=None)
+    @given(degenerate_arrangements(), st.randoms(use_true_random=False), st.integers(1, 12))
+    def test_count_invariant_under_transform_and_translate(self, arr, rng, q):
+        # The vertex sum builds no cells, so the images may lift to any
+        # number of sheets.
+        f = count_regions(arr)
+        m = random_unimodular(rng, arr.dim)
+        assert count_regions(transform(arr, m), max_sheets=10**9) == f
+        shift = [F(rng.randrange(q), q) for _ in range(arr.dim)]
+        assert count_regions(translate(arr, shift)) == f
