@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import DimensionMismatch, InvalidInput, NonPrimitive, ParallelNormals
-from .lattice import BezoutChain, as_intvec, bezout_chain, gcd_vec
+from .lattice import BezoutChain, _bezout_chain, as_intvec, gcd_vec
 
 
 def components_coordinate(b) -> int:
@@ -63,9 +63,9 @@ def components_pair(a, b, *, chain: BezoutChain | None = None) -> int:
         raise DimensionMismatch(f"lengths differ: {len(va)} vs {len(vb)}")
     if len(va) < 2:
         raise DimensionMismatch("need dimension >= 2")
-    if gcd_vec(va) != 1:
+    if math.gcd(*va) != 1:
         raise NonPrimitive(f"vector {va} is not primitive")
-    if gcd_vec(vb) != 1:
+    if math.gcd(*vb) != 1:
         raise NonPrimitive(f"vector {vb} is not primitive")
     if va == vb or va == tuple(-x for x in vb):
         raise ParallelNormals(f"normals {va} and {vb} are proportional")
@@ -79,7 +79,7 @@ def components_pair(a, b, *, chain: BezoutChain | None = None) -> int:
         vb = tuple(vb[i] for i in order)
 
     if chain is None:
-        chain = bezout_chain(va)
+        chain = _bezout_chain(va)
     else:
         if chain.vector != va:
             raise InvalidInput("chain was built for a different vector")

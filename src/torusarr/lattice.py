@@ -5,8 +5,11 @@ determinant-one integer matrix, the squared metric data of an integer
 hyperplane, the gcd of all 2x2 minors of a pair of vectors (used as an
 independent oracle for pairwise intersection counts), the Hermite normal
 form of an integer lattice with canonical coset representatives (used to
-identify torus regions), and the adjugate of a square matrix with the cosets
-of its column lattice (used to list the intersection points of subtori).
+identify torus regions), the adjugate of a square matrix, and the elements
+of the subgroup of (Z/D)^r that some vectors generate. The last two list
+the intersection points of subtori: for a nonsingular A whose determinant
+divides D, the solutions of A y = 0 (mod D) are the subgroup generated by
+the columns of (D / det A) adj A.
 
 Everything runs on arbitrary-precision integers; no floating point anywhere.
 All functions are pure and all returned values are immutable, so the module
@@ -15,7 +18,6 @@ is safe for concurrent use.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +33,8 @@ def as_intvec(a) -> IntVec:
     vec = tuple(a)
     if not vec:
         raise InvalidInput("empty integer vector")
+    if all(type(x) is int for x in vec):
+        return vec
     out = []
     for x in vec:
         if isinstance(x, bool) or not isinstance(x, int):
@@ -106,7 +110,11 @@ def bezout_chain(a) -> BezoutChain:
     Example: (6, 10, 15) yields gcds (2, 1) with certificates
     (2, -1) and (-14, 7, 1).
     """
-    vec = as_intvec(a)
+    return _bezout_chain(as_intvec(a))
+
+
+def _bezout_chain(vec: IntVec) -> BezoutChain:
+    """``bezout_chain`` for a vector already checked by ``as_intvec``."""
     gcds: list[int] = []
     coeffs: list[IntVec] = []
     g_prev = vec[0]
@@ -320,8 +328,10 @@ def adjugate(rows) -> tuple[IntMatrix, int] | None:
     m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
     sign, prev = 1, 1
     for k in range(n):
-        p = next((i for i in range(k, n) if m[i][k]), None)
-        if p is None:
+        for p in range(k, n):
+            if m[p][k]:
+                break
+        else:
             return None
         if p != k:
             m[k], m[p] = m[p], m[k]
@@ -336,18 +346,35 @@ def adjugate(rows) -> tuple[IntMatrix, int] | None:
     return tuple(tuple(sign * x for x in row[n:]) for row in m), sign * prev
 
 
-def coset_representatives(rows) -> tuple[IntVec, ...]:
-    """One vector of each coset of A Z^r in Z^r, for a nonsingular r x r integer A.
+def subgroup_elements(generators, modulus: int, order: int) -> tuple[IntVec, ...]:
+    """The elements of the subgroup of (Z/modulus)^r generated by the vectors.
 
-    The Hermite basis of A's columns is upper triangular with diagonal
-    h_1, ..., h_r and |det A| = h_1 ... h_r, so the vectors k with
-    0 <= k_i < h_i are the canonical representatives that
-    ``reduce_mod_lattice`` returns, one per coset.
+    Starting from {0}, each generator g is walked, g, 2g, ..., until its
+    next multiple falls back into the subgroup H built so far; the multiples
+    before it are the coset representatives of H in H + <g>, so H + <g> is
+    listed without repeats. Entries are residues in [0, modulus), zero comes
+    first, and the order is deterministic. ``order`` is the size the caller
+    knows the subgroup has; any other size raises RuntimeError.
     """
-    a = tuple(as_intvec(r) for r in rows)
-    if any(len(r) != len(a) for r in a):
-        raise DimensionMismatch("matrix is not square")
-    basis = hermite_basis(zip(*a))
-    if len(basis) != len(a):
-        raise InvalidInput("a singular matrix has infinitely many cosets")
-    return tuple(itertools.product(*(range(b[i]) for i, b in enumerate(basis))))
+    if modulus < 1:
+        raise InvalidInput(f"the modulus must be positive, got {modulus}")
+    gens = [tuple([x % modulus for x in as_intvec(g)]) for g in generators]
+    if not gens:
+        raise InvalidInput("a subgroup needs at least one generator")
+    if any(len(g) != len(gens[0]) for g in gens):
+        raise DimensionMismatch("generators have different lengths")
+    elems = [(0,) * len(gens[0])]
+    members = set(elems)
+    for g in gens:
+        new = []
+        m = g
+        while m not in members:
+            # elems[0] is zero, so the coset elems + m starts with m itself.
+            new.append(m)
+            new += [tuple([(x + y) % modulus for x, y in zip(h, m)]) for h in elems[1:]]
+            m = tuple([(x + y) % modulus for x, y in zip(m, g)])
+        elems += new
+        members.update(new)
+    if len(elems) != order:
+        raise RuntimeError(f"internal: subgroup has {len(elems)} elements, expected {order}")
+    return tuple(elems)

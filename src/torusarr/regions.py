@@ -13,12 +13,19 @@ Zaslavsky: Ehrenborg, Readdy and Slone, "Affine and toric hyperplane
 arrangements", 2009; Moci, "A Tutte polynomial for toric arrangements",
 2012). A point on exactly r subtori contributes 1. The points come from
 the r-subsets S with det A_S != 0 (A_S has rows m_t, t in S): they are
-A_S^{-1} (c_S + k) mod Z^r for the |det A_S| coset representatives k of
-A_S Z^r, computed with the integer adjugate, and the subtori through a
-point are the union of the subsets that yield it. Parallel subtori share
-a normal, so the adjugate and the cosets are computed once per set of r
-distinct normals. The local term comes from the Moebius recursion over
-the flats of the point's normals.
+the |det A_S| solutions y = A_S^{-1} (c_S + k) mod Z^r, k in Z^r, and the
+subtori through a point are the union of the subsets that yield it.
+Parallel subtori share a normal, so they are listed in two passes. The
+first computes the integer adjugate once per set of r distinct normals
+and keeps the nonsingular ones as (adj, det), det > 0. With Q the lcm of
+all offset denominators and D = Q lcm(det), every point is D y reduced
+mod D, a tuple of residues that is equal for equal points, so no gcd
+normalises it. The second pass lists, for each choice of one subtorus
+per normal, e adj (Q c) + G mod D, where e = D / (Q det) and G, the
+subgroup of (Z/D)^r generated by the columns of (D / det) adj, has det
+elements; G is walked once per set of normals
+(``torusarr.lattice.subgroup_elements``). The local term comes from the
+Moebius recursion over the flats of the point's normals.
 
 ``build_cells`` and ``region_witnesses`` decompose the fundamental cube
 [0, 1]^d. Every subtorus lifts to the finitely many parallel hyperplane
@@ -70,7 +77,7 @@ from ._geometry import affine_rank, hull_h, hulls_overlap_h, int_rank  # noqa: F
 from .arrangement import Arrangement, Subtorus, validate
 from .errors import DimensionMismatch, InvalidParams, ResourceCapError
 from .feasibility import LinConstraint, feasible, relative_dim_is  # noqa: F401
-from .lattice import IntVec, adjugate, coset_representatives, hermite_basis, reduce_mod_lattice
+from .lattice import IntVec, adjugate, hermite_basis, reduce_mod_lattice, subgroup_elements
 
 DEFAULT_MAX_SHEETS = 64
 
@@ -108,6 +115,19 @@ class CellComplex:
     region_count: int | None
 
 
+def _sheet_range(s: Subtorus) -> range:
+    """The integers k for which a . x = offset + k meets the closed cube.
+
+    The affine form's range over [0, 1]^d runs from lo, the sum of the
+    negative coefficients, to hi, the sum of the positive ones, so k runs
+    from ceil(lo - offset) to floor(hi - offset), computed in integers.
+    """
+    lo = sum(min(x, 0) for x in s.normal)
+    hi = sum(max(x, 0) for x in s.normal)
+    p, q = s.offset.numerator, s.offset.denominator
+    return range(-((p - lo * q) // q), (hi * q - p) // q + 1)
+
+
 def lift_hyperplanes(s: Subtorus, d: int) -> list[tuple[IntVec, Fraction]]:
     """All lifts a . x = offset + k of the subtorus meeting the closed cube.
 
@@ -117,11 +137,7 @@ def lift_hyperplanes(s: Subtorus, d: int) -> list[tuple[IntVec, Fraction]]:
     """
     if s.dim != d:
         raise DimensionMismatch(f"subtorus lives in dimension {s.dim}, not {d}")
-    lo = sum(min(x, 0) for x in s.normal)
-    hi = sum(max(x, 0) for x in s.normal)
-    kmin = math.ceil(lo - s.offset)
-    kmax = math.floor(hi - s.offset)
-    return [(s.normal, s.offset + k) for k in range(kmin, kmax + 1)]
+    return [(s.normal, s.offset + k) for k in _sheet_range(s)]
 
 
 # --------------------------------------------------------------------------
@@ -224,24 +240,31 @@ def _initial_cube(d: int) -> _Cell:
     return _Cell(verts, tight, [], 0)
 
 
-def _collect_sheets(arr: Arrangement, max_sheets: int | None):
-    """The lifted sheets, each subtorus's together in increasing offset, and
-    the (start, stop) range of every subtorus's sheets in that list."""
+def _check_sheet_cap(arr: Arrangement, max_sheets: int | None) -> None:
+    """Raise unless the arrangement lifts to at most the cap's number of
+    sheets; the sheets are counted, not lifted."""
     cap = DEFAULT_MAX_SHEETS if max_sheets is None else max_sheets
     if cap < 0:
         raise InvalidParams(f"the sheet cap must be non-negative, got {cap}")
+    total = sum(len(_sheet_range(t)) for t in arr.tori)
+    if total > cap:
+        raise ResourceCapError(
+            f"arrangement lifts to {total} hyperplane sheets, exceeding the cap of "
+            f"{cap}; raise the cap (TORUSARR_MAX_SHEETS / max_sheets) only if you accept "
+            f"the cost"
+        )
+
+
+def _collect_sheets(arr: Arrangement, max_sheets: int | None):
+    """The lifted sheets, each subtorus's together in increasing offset, and
+    the (start, stop) range of every subtorus's sheets in that list."""
+    _check_sheet_cap(arr, max_sheets)
     sheets: list[tuple[IntVec, Fraction]] = []
     runs: list[tuple[int, int]] = []
     for torus in arr.tori:
         start = len(sheets)
         sheets.extend(lift_hyperplanes(torus, arr.dim))
         runs.append((start, len(sheets)))
-    if len(sheets) > cap:
-        raise ResourceCapError(
-            f"arrangement lifts to {len(sheets)} hyperplane sheets, exceeding the cap of "
-            f"{cap}; raise the cap (TORUSARR_MAX_SHEETS / max_sheets) only if you accept "
-            f"the cost"
-        )
     return sheets, runs
 
 
@@ -350,7 +373,9 @@ def _local_term(normals: tuple[IntVec, ...]) -> int:
     intersection of X with t's hyperplane, and the flats above a flat
     partition the hyperplanes outside it. mu(0, X) is minus the sum of mu
     over the flats whose masks lie inside X's, and mu(0, 1) minus the sum
-    over all flats below the point.
+    over all flats below the point. Only the hyperplanes in ``rest``, those
+    outside X and outside the flats above X found so far, can join a new
+    flat above X.
     """
     r = len(normals[0])
     full = (1 << len(normals)) - 1
@@ -369,9 +394,12 @@ def _local_term(normals: tuple[IntVec, ...]) -> int:
                     for i, (v, val) in enumerate(zip(space, vals))
                     if i != p
                 ]
-                flat = 0
-                for s, a in enumerate(normals):
-                    if not any(sum(map(mul, a, v)) for v in sub):
+                flat = mask | 1 << t
+                others = rest & ~flat
+                while others:
+                    s = (others & -others).bit_length() - 1
+                    others &= others - 1
+                    if not any(sum(map(mul, normals[s], v)) for v in sub):
                         flat |= 1 << s
                 rest &= ~flat
                 above.setdefault(flat, sub)
@@ -388,42 +416,45 @@ def count_regions(arr: Arrangement, max_sheets: int | None = None) -> int:
     essential arrangement, with no cells (see the module docstring).
     """
     validate(arr)
-    _collect_sheets(arr, max_sheets)
+    _check_sheet_cap(arr, max_sheets)
     if not arr.tori:
         return 1
     basis = _normal_basis(arr)
     r = len(basis)
     normals = list(zip(*basis))
-    # Each intersection point (numerators mod den, den in lowest terms) and
-    # the mask of the subtori through it.
-    through: dict[tuple[IntVec, int], int] = {}
     # Subtori are parallel exactly when their normals agree: no two are
     # opposite, since the a_t are sign-normalized.
     parallel: dict[IntVec, list[int]] = {}
     for t, a in enumerate(normals):
         parallel.setdefault(a, []).append(t)
+    # First pass: every nonsingular set of r distinct normals, with det > 0.
+    combos = []
     for classes in itertools.combinations(parallel.items(), r):
-        rows = [a for a, _ in classes]
-        inverse = adjugate(rows)
-        if inverse is None:
-            continue
-        adj, det = inverse
-        if det < 0:
-            adj = [[-x for x in row] for row in adj]
-        cosets = coset_representatives(rows)
-        for subset in itertools.product(*(ts for _, ts in classes)):
-            offsets = [arr.tori[t].offset for t in subset]
-            q = math.lcm(*(c.denominator for c in offsets))
-            den = q * abs(det)
-            # y = adj (c + k) / det = (adj (q c) + q adj k) / den
-            qc = [c.numerator * (q // c.denominator) for c in offsets]
-            base = [sum(map(mul, row, qc)) for row in adj]
-            step = [[q * x for x in row] for row in adj]
+        inverse = adjugate([a for a, _ in classes])
+        if inverse is not None:
+            adj, det = inverse
+            if det < 0:
+                adj, det = tuple(tuple(-x for x in row) for row in adj), -det
+            combos.append(([ts for _, ts in classes], adj, det))
+    q = math.lcm(*(t.offset.denominator for t in arr.tori))
+    den = q * math.lcm(*(det for _, _, det in combos))
+    qc = [t.offset.numerator * (q // t.offset.denominator) for t in arr.tori]
+    # Second pass: each intersection point, as den times its coordinates
+    # reduced mod den, and the mask of the subtori through it.
+    through: dict[IntVec, int] = {}
+    for classes, adj, det in combos:
+        # den y = den adj (c + k) / det = e adj (q c) + (den / det) adj k,
+        # and the vectors (den / det) adj k mod den form the subgroup G.
+        e = den // (q * det)
+        step = den // det
+        group = subgroup_elements(([step * x for x in col] for col in zip(*adj)), den, det)
+        cols = list(zip(*group))
+        for subset in itertools.product(*classes):
+            cs = [e * qc[t] for t in subset]
+            base = [sum(map(mul, row, cs)) for row in adj]
             mask = sum(1 << t for t in subset)
-            for k in cosets:
-                nums = [(b + sum(map(mul, row, k))) % den for b, row in zip(base, step)]
-                g = math.gcd(den, *nums)
-                point = (tuple(v // g for v in nums), den // g)
+            # The points base + G, built one coordinate at a time.
+            for point in zip(*[[(b + x) % den for x in col] for b, col in zip(base, cols)]):
                 through[point] = through.get(point, 0) | mask
     local: dict[tuple[IntVec, ...], int] = {}
     f = 0

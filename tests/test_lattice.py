@@ -3,16 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import random_primitive_vector, random_unimodular
 from torusarr.errors import DimensionMismatch, InvalidInput, NonPrimitive
 from torusarr.lattice import (
     adjugate,
+    as_intvec,
     bezout_chain,
     complete_to_unimodular,
-    coset_representatives,
     covector_times_matrix,
     det_int,
     gcd_vec,
@@ -22,6 +22,7 @@ from torusarr.lattice import (
     matmul_int,
     minors2_gcd,
     reduce_mod_lattice,
+    subgroup_elements,
     xgcd,
 )
 
@@ -41,6 +42,9 @@ class TestGcdVec:
     def test_non_integer_rejected(self):
         with pytest.raises(InvalidInput):
             gcd_vec((1, Fraction(1, 2)))
+        for bad in ((True, 1), (1.0,), (1, False)):
+            with pytest.raises(InvalidInput):
+                as_intvec(bad)
 
     @given(int_vectors)
     def test_divides_every_entry(self, v):
@@ -350,27 +354,55 @@ class TestAdjugate:
         assert matmul_int(adj, rows) == scaled
 
 
-class TestCosetRepresentatives:
+def kernel_generators(rows, modulus):
+    """Columns of (modulus / det) adj(A): they generate the solutions of
+    A y = 0 (mod modulus), the points A^-1 Z^r / Z^r scaled by modulus."""
+    adj, det = adjugate(rows)
+    return [[modulus // det * x for x in col] for col in zip(*adj)]
+
+
+class TestSubgroupElements:
     def test_worked_example(self):
-        # 2Z x 3Z has the six cosets of Z/2 x Z/3.
-        assert coset_representatives([(2, 0), (0, 3)]) == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
-        assert coset_representatives([(1, 0), (0, -1)]) == ((0, 0),)
+        # diag(2, 3) mod 6: the generators (3, 0) and (0, 2) span Z/2 x Z/3.
+        assert subgroup_elements([(3, 0), (0, 2)], 6, 6) == (
+            (0, 0), (3, 0), (0, 2), (3, 2), (0, 4), (3, 4),
+        )
+        assert subgroup_elements([(2,)], 6, 3) == ((0,), (2,), (4,))
+        # x + y = x - y = 0 in T^2 at (0, 0) and (1/2, 1/2), times 4.
+        assert subgroup_elements(kernel_generators([(1, 1), (1, -1)], 4), 4, 2) == ((0, 0), (2, 2))
+        # A generator already in the subgroup adds nothing.
+        assert subgroup_elements([(2,), (4,), (-2,)], 6, 3) == ((0,), (2,), (4,))
 
-    def test_singular_rejected(self):
+    def test_wrong_order_is_an_internal_error(self):
+        with pytest.raises(RuntimeError, match="internal"):
+            subgroup_elements([(2,)], 6, 2)
+
+    def test_bad_generators_rejected(self):
         with pytest.raises(InvalidInput):
-            coset_representatives([(1, 2), (2, 4)])
+            subgroup_elements([], 6, 1)
         with pytest.raises(DimensionMismatch):
-            coset_representatives([(1, 2, 3), (4, 5, 6)])
+            subgroup_elements([(1, 0), (1,)], 6, 6)
+        with pytest.raises(InvalidInput):
+            subgroup_elements([(1,)], 0, 1)
 
-    @given(square_matrices)
-    def test_one_per_coset(self, rows):
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda r: st.lists(
+                st.lists(st.integers(-2, 2), min_size=r, max_size=r), min_size=r, max_size=r
+            )
+        ),
+        st.integers(1, 3),
+    )
+    def test_solutions_of_a_nonsingular_system(self, rows, scale):
         det = det_int(rows)
-        if det == 0:
-            return
-        reps = coset_representatives(rows)
-        assert len(reps) == abs(det)
-        # k and k' lie in one coset exactly when A^-1 (k - k') is integral,
-        # that is when adj(A) k = adj(A) k' mod det(A).
-        adj, _ = adjugate(rows)
-        images = {tuple(sum(a * x for a, x in zip(row, k)) % det for row in adj) for k in reps}
-        assert len(images) == len(reps)
+        assume(0 < abs(det) <= 200)
+        modulus = abs(det) * scale
+        elems = subgroup_elements(kernel_generators(rows, modulus), modulus, abs(det))
+        assert len(set(elems)) == len(elems) == abs(det)
+        members = set(elems)
+        for y in elems:
+            assert all(0 <= x < modulus for x in y)
+            assert all(sum(a * x for a, x in zip(row, y)) % modulus == 0 for row in rows)
+        for y in elems:
+            for z in elems:
+                assert tuple((u + v) % modulus for u, v in zip(y, z)) in members

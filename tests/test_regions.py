@@ -69,6 +69,20 @@ class TestLiftHyperplanes:
         with pytest.raises(DimensionMismatch):
             lift_hyperplanes(Subtorus((1, 0), F(0)), 3)
 
+    @given(
+        st.lists(st.integers(-4, 4), min_size=1, max_size=5).filter(any),
+        st.integers(1, 10**18 + 10**3),
+        st.integers(0, 10**19),
+    )
+    def test_exactly_the_sheets_meeting_the_cube(self, a, q, p):
+        # Reference: every k with lo <= offset + k <= hi, in Fractions.
+        s = subtorus_from_equation(a, F(p % q, q))
+        lo = sum(min(x, 0) for x in s.normal)
+        hi = sum(max(x, 0) for x in s.normal)
+        start = math.floor(lo - s.offset)
+        expected = [k for k in range(start, start + hi - lo + 2) if lo <= s.offset + k <= hi]
+        assert lift_hyperplanes(s, len(a)) == [(s.normal, s.offset + k) for k in expected]
+
 
 class TestBuildCells:
     def test_empty_arrangement(self):
@@ -304,6 +318,17 @@ class TestVertexSum:
         assert time.perf_counter() - start < 5
         assert f == 500 == build_cells(arr, glue=True).region_count
 
+    def test_distinct_denominators_near_10_18(self):
+        # Six subtori of T^3 whose offsets have six distinct denominators
+        # in [10^18, 10^18 + 1000], so the points' common denominator has
+        # 360 bits; normal triples have |det| 1, 2, 3 and 5.
+        rng = random.Random(71)
+        normals = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 1), (0, 1, 2)]
+        dens = rng.sample(range(10**18, 10**18 + 1001), 6)
+        tori = [subtorus_from_equation(a, F(rng.randrange(q), q)) for a, q in zip(normals, dens)]
+        arr = Arrangement(3, tuple(tori))
+        assert count_regions(arr) == build_cells(arr, glue=True).region_count == 29
+
     def test_many_parallel_subtori_beyond_the_sheet_cap(self):
         # 100 parallel subtori and two more: of the 171700 triples only the
         # 100 with one normal each are independent, and they share one
@@ -321,6 +346,25 @@ class TestResourceCap:
         with pytest.raises(ResourceCapError):
             count_regions(arr, max_sheets=3)
         assert count_regions(arr, max_sheets=6) == 1
+
+    def test_count_checks_the_cap_without_lifting(self, monkeypatch):
+        def no_lifting(*args):
+            raise AssertionError("count_regions lifted sheets")
+
+        monkeypatch.setattr(regions, "lift_hyperplanes", no_lifting)
+        # 3x - 2y = 1/2 + k meets the square for k = -2..2.
+        arr = Arrangement(2, (Subtorus((3, -2), F(1, 2)), Subtorus((1, 0), F(0))))
+        assert count_regions(arr, max_sheets=7) == 2
+        with pytest.raises(ResourceCapError) as raised:
+            count_regions(arr, max_sheets=6)
+        assert str(raised.value) == (
+            "arrangement lifts to 7 hyperplane sheets, exceeding the cap of 6; raise the cap "
+            "(TORUSARR_MAX_SHEETS / max_sheets) only if you accept the cost"
+        )
+        with pytest.raises(InvalidParams):
+            count_regions(arr, max_sheets=-1)
+        with pytest.raises(AssertionError):
+            build_cells(arr)
 
     def test_negative_cap_rejected(self):
         for d in range(1, 5):
