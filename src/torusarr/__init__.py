@@ -2,12 +2,13 @@
 in the flat d-torus.
 
 The package models arrangements with primitive integer normals and
-rational offsets, counts the connected components of the complement with
-an exact cell decomposition of the fundamental cube, evaluates pairwise
-intersection component counts, describes the full set of achievable
-region counts for given (d, n), and constructs arrangements realizing any
-achievable count. All arithmetic is exact (integers and fractions); no
-floating point is used anywhere.
+rational offsets, counts the connected components of the complement by
+the toric vertex sum over the intersection points, lists one witness
+point per region from an exact cell decomposition of the fundamental
+cube, evaluates pairwise intersection component counts, describes the
+full set of achievable region counts for given (d, n), and constructs
+arrangements realizing any achievable count. All arithmetic is exact
+(integers and fractions); no floating point is used anywhere.
 """
 
 from .arrangement import (
@@ -40,7 +41,7 @@ from .errors import (
     TorusArrError,
     ZeroNormal,
 )
-from .feasibility import LinConstraint, feasible, relative_dim_is
+from .feasibility import LinConstraint
 from .intersection import components_coordinate, components_pair
 from .lattice import (
     BezoutChain,
@@ -106,7 +107,6 @@ __all__ = [
     "construct_family_sheared",
     "construct_for",
     "count_regions",
-    "feasible",
     "feasible_contains",
     "feasible_set",
     "format_tarr",
@@ -119,7 +119,6 @@ __all__ = [
     "parallel_bound",
     "parse_tarr",
     "region_witnesses",
-    "relative_dim_is",
     "save_tarr",
     "subtorus_from_equation",
     "transform",

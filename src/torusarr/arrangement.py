@@ -182,13 +182,19 @@ def translate(arr: Arrangement, t) -> Arrangement:
 #   1 0 0 : 0/1
 #   2 -1 0 : 1/2
 #
-# One subtorus per line: d integers, a colon, and a rational offset p/q.
+# One subtorus per line: d integers, a colon, and a rational offset p/q
+# (an integer or a plain decimal is accepted too; an exponent is not).
 # Parsing normalizes every line, so non-normalized input is accepted; the
 # writer always emits the normal form and round-trips bit-exactly.
 # --------------------------------------------------------------------------
 
 
 def _parse_rational(token: str, lineno: int) -> Fraction:
+    # Fraction() accepts exponents, and "1e10000000" would expand to a
+    # ten-million-digit integer; offsets are written as p/q, integers or
+    # plain decimals.
+    if "e" in token or "E" in token:
+        raise ParseError(f"line {lineno}: bad rational {token!r}: exponents are not allowed")
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:

@@ -1,18 +1,8 @@
-"""Exact rational linear feasibility with strict inequalities.
+"""Exact rational linear constraints.
 
-The kernel decides systems of constraints ``normal . x  REL  rhs`` with
-REL in {<, <=, =} over exact rationals and, when feasible, produces an
-exact rational witness satisfying every strict constraint strictly. The
-implementation is a two-phase simplex over ``fractions.Fraction`` with
-Bland's rule (no cycling, fully deterministic for a fixed input order).
-Strictness is handled by a shared slack variable: every strict row gets
-``+ eps`` added to its left side, eps is capped by 1, and phase two
-maximizes eps; the system is strictly feasible exactly when the optimum
-is positive.
-
-``relative_dim_is`` computes the dimension of the affine hull of the
-closed solution set by repeatedly probing for feasible points outside the
-affine span of the witnesses found so far.
+``LinConstraint`` is one constraint ``normal . x  REL  rhs`` with REL in
+{<, <=, =} over exact rationals; ``HPolytope`` describes an open cell as
+a conjunction of them, and ``holds_at`` checks one at an exact point.
 """
 
 from __future__ import annotations
@@ -20,9 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, InvalidInput
+from .errors import InvalidInput
 
 _RELATIONS = ("<", "<=", "=")
+
+feasible = None  # never called; looked up by INNER in perfbench/spans.py
 
 
 def _frac(x) -> Fraction:
@@ -50,31 +42,6 @@ class LinConstraint:
         object.__setattr__(self, "normal", vec)
         object.__setattr__(self, "rhs", _frac(self.rhs))
 
-    @classmethod
-    def le(cls, normal, rhs) -> "LinConstraint":
-        return cls(tuple(normal), rhs, "<=")
-
-    @classmethod
-    def lt(cls, normal, rhs) -> "LinConstraint":
-        return cls(tuple(normal), rhs, "<")
-
-    @classmethod
-    def eq(cls, normal, rhs) -> "LinConstraint":
-        return cls(tuple(normal), rhs, "=")
-
-    @classmethod
-    def ge(cls, normal, rhs) -> "LinConstraint":
-        return cls(tuple(-_frac(x) for x in normal), -_frac(rhs), "<=")
-
-    @classmethod
-    def gt(cls, normal, rhs) -> "LinConstraint":
-        return cls(tuple(-_frac(x) for x in normal), -_frac(rhs), "<")
-
-    def closure(self) -> "LinConstraint":
-        if self.relation == "<":
-            return LinConstraint(self.normal, self.rhs, "<=")
-        return self
-
     def holds_at(self, point) -> bool:
         val = sum(a * x for a, x in zip(self.normal, point))
         if self.relation == "=":
@@ -82,237 +49,3 @@ class LinConstraint:
         if self.relation == "<=":
             return val <= self.rhs
         return val < self.rhs
-
-
-class _Tableau:
-    """Simplex tableau in canonical form with Bland's rule pivoting."""
-
-    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction], basis: list[int]):
-        self.rows = rows
-        self.rhs = rhs
-        self.basis = basis
-
-    def pivot(self, i: int, j: int, cbar: list[Fraction]) -> None:
-        row = self.rows[i]
-        piv = row[j]
-        inv = 1 / piv
-        self.rows[i] = row = [v * inv for v in row]
-        self.rhs[i] *= inv
-        for k, other in enumerate(self.rows):
-            if k != i and other[j]:
-                factor = other[j]
-                self.rows[k] = [ov - factor * rv for ov, rv in zip(other, row)]
-                self.rhs[k] -= factor * self.rhs[i]
-        if cbar[j]:
-            factor = cbar[j]
-            for idx, rv in enumerate(row):
-                if rv:
-                    cbar[idx] -= factor * rv
-            cbar[j] = Fraction(0)
-        self.basis[i] = j
-
-    def maximize(self, cost: list[Fraction], n_allowed: int) -> None:
-        """Run Bland-rule simplex restricted to entering columns < n_allowed."""
-        cbar = list(cost)
-        for i, bi in enumerate(self.basis):
-            if cost[bi]:
-                factor = cost[bi]
-                row = self.rows[i]
-                for idx in range(len(cbar)):
-                    if row[idx]:
-                        cbar[idx] -= factor * row[idx]
-        while True:
-            enter = -1
-            for j in range(n_allowed):
-                if cbar[j] > 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return
-            leave = -1
-            best: tuple[Fraction, int] | None = None
-            for i, row in enumerate(self.rows):
-                if row[enter] > 0:
-                    key = (self.rhs[i] / row[enter], self.basis[i])
-                    if best is None or key < best:
-                        best = key
-                        leave = i
-            if leave < 0:
-                raise RuntimeError("internal: unbounded objective in bounded program")
-            self.pivot(leave, enter, cbar)
-
-    def objective_value(self, cost: list[Fraction]) -> Fraction:
-        return sum(cost[b] * v for b, v in zip(self.basis, self.rhs))
-
-    def solution(self, n_cols: int) -> list[Fraction]:
-        z = [Fraction(0)] * n_cols
-        for b, v in zip(self.basis, self.rhs):
-            if b < n_cols:
-                z[b] = v
-        return z
-
-
-def feasible(constraints, dim: int):
-    """Decide the mixed strict/non-strict system; return a witness or None.
-
-    The witness is a tuple of exact rationals satisfying every constraint,
-    strict ones strictly. Deterministic for a fixed constraint order.
-    Infeasibility is the None result, not an error.
-    """
-    cons = [c if isinstance(c, LinConstraint) else LinConstraint(*c) for c in constraints]
-    for c in cons:
-        if len(c.normal) != dim:
-            raise DimensionMismatch(f"constraint has {len(c.normal)} coefficients, expected {dim}")
-    if not cons:
-        return tuple(Fraction(0) for _ in range(dim))
-
-    has_strict = any(c.relation == "<" for c in cons)
-    eps_col = 2 * dim if has_strict else -1
-    n_struct = 2 * dim + (1 if has_strict else 0)
-
-    # Structural rows: x = xplus - xminus, strict rows carry +eps.
-    raw: list[tuple[list[Fraction], Fraction, bool]] = []
-    for c in cons:
-        row = [Fraction(0)] * n_struct
-        for k, a in enumerate(c.normal):
-            row[k] = a
-            row[dim + k] = -a
-        if c.relation == "<":
-            row[eps_col] = Fraction(1)
-        raw.append((row, c.rhs, c.relation == "="))
-    if has_strict:
-        cap = [Fraction(0)] * n_struct
-        cap[eps_col] = Fraction(1)
-        raw.append((cap, Fraction(1), False))
-
-    n_slack = sum(1 for _, _, is_eq in raw if not is_eq)
-    n_cols = n_struct + n_slack
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    slack_at = n_struct
-    for row, r, is_eq in raw:
-        full = row + [Fraction(0)] * n_slack
-        if not is_eq:
-            full[slack_at] = Fraction(1)
-            slack_at += 1
-        if r < 0:
-            full = [-v for v in full]
-            r = -r
-        rows.append(full)
-        rhs.append(r)
-
-    m = len(rows)
-    art0 = n_cols
-    for i, row in enumerate(rows):
-        row.extend(Fraction(1) if k == i else Fraction(0) for k in range(m))
-    total = n_cols + m
-    tab = _Tableau(rows, rhs, list(range(art0, total)))
-
-    phase1_cost = [Fraction(0)] * art0 + [Fraction(-1)] * m
-    tab.maximize(phase1_cost, n_allowed=art0)
-    if tab.objective_value(phase1_cost) != 0:
-        return None
-
-    # Remove artificials from the basis: every basic artificial sits at
-    # value zero, so a degenerate pivot (or dropping a redundant row) is
-    # always available.
-    i = 0
-    while i < len(tab.rows):
-        if tab.basis[i] >= art0:
-            row = tab.rows[i]
-            for j in range(art0):
-                if row[j]:
-                    tab.pivot(i, j, [Fraction(0)] * total)
-                    break
-            else:
-                del tab.rows[i]
-                del tab.rhs[i]
-                del tab.basis[i]
-                continue
-        i += 1
-
-    if has_strict:
-        phase2_cost = [Fraction(0)] * total
-        phase2_cost[eps_col] = Fraction(1)
-        tab.maximize(phase2_cost, n_allowed=art0)
-        if tab.objective_value(phase2_cost) == 0:
-            return None
-
-    z = tab.solution(n_cols)
-    witness = tuple(z[k] - z[dim + k] for k in range(dim))
-    for c in cons:
-        if not c.holds_at(witness):
-            raise RuntimeError(f"internal: witness {witness} violates {c}")
-    return witness
-
-
-def nullspace(rows, dim: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {v in Q^dim : row . v = 0 for every row}."""
-    mat = [[_frac(x) for x in r] for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(dim):
-        sel = -1
-        for i in range(r, len(mat)):
-            if mat[i][col]:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [v - f * p for v, p in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * dim
-        v[f] = Fraction(1)
-        for row_idx, pcol in enumerate(pivots):
-            v[pcol] = -mat[row_idx][f]
-        basis.append(tuple(v))
-    return basis
-
-
-def relative_dim_is(constraints, dim: int, target: int) -> bool:
-    """True iff the closed system's affine hull has dimension exactly ``target``
-    and the strict constraints (if any) leave a nonempty relative interior.
-
-    Returns False for an infeasible closed system (the empty set has no
-    dimension to match).
-    """
-    cons = [c if isinstance(c, LinConstraint) else LinConstraint(*c) for c in constraints]
-    closed = [c.closure() for c in cons]
-    w = feasible(closed, dim)
-    if w is None:
-        return False
-    pts: list[tuple[Fraction, ...]] = [w]
-    while True:
-        diffs = [[p[k] - pts[0][k] for k in range(dim)] for p in pts[1:]]
-        normals = nullspace(diffs, dim)
-        grown = False
-        for nvec in normals:
-            level = sum(a * x for a, x in zip(nvec, pts[0]))
-            for probe in (
-                LinConstraint(nvec, level, "<"),
-                LinConstraint(tuple(-x for x in nvec), -level, "<"),
-            ):
-                w2 = feasible(closed + [probe], dim)
-                if w2 is not None:
-                    pts.append(w2)
-                    grown = True
-                    break
-            if grown:
-                break
-        if not grown:
-            hull_dim = dim - len(normals)
-            if hull_dim != target:
-                return False
-            if any(c.relation == "<" for c in cons):
-                return feasible(cons, dim) is not None
-            return True

@@ -63,10 +63,6 @@ def gcd_vec(a) -> int:
     return math.gcd(*(abs(x) for x in as_intvec(a)))
 
 
-def is_primitive(a) -> bool:
-    return gcd_vec(a) == 1
-
-
 @dataclass(frozen=True)
 class BezoutChain:
     """Prefix gcds of an integer vector together with integer certificates.

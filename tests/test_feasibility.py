@@ -1,10 +1,9 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from torusarr.errors import DimensionMismatch, InvalidInput
-from torusarr.feasibility import LinConstraint, feasible, nullspace, relative_dim_is
+from torusarr.errors import InvalidInput
+from torusarr.feasibility import LinConstraint
 
 LC = LinConstraint
 
@@ -22,125 +21,8 @@ class TestLinConstraint:
         with pytest.raises(InvalidInput):
             LC((0.5,), 0, "<=")
 
-    def test_ge_gt_negate(self):
-        c = LC.ge((1, 2), 3)
-        assert c.normal == (-1, -2) and c.rhs == -3 and c.relation == "<="
-        c = LC.gt((1,), 0)
-        assert c.normal == (-1,) and c.rhs == 0 and c.relation == "<"
-
-    def test_closure(self):
-        assert LC.lt((1,), 1).closure().relation == "<="
-        assert LC.eq((1,), 1).closure().relation == "="
-
-
-class TestFeasible:
-    def test_open_interval(self):
-        w = feasible([LC.gt((1,), 0), LC.lt((1,), 1)], 1)
-        assert w is not None and 0 < w[0] < 1
-
-    def test_equality_point_meets_strict(self):
-        w = feasible([LC.ge((1,), 0), LC.le((1,), 0), LC.gt((1,), -1)], 1)
-        assert w == (Fraction(0),)
-
-    def test_contradiction(self):
-        assert feasible([LC.gt((1,), 0), LC.lt((1,), 0)], 1) is None
-
-    def test_boundary_strictness(self):
-        assert feasible([LC.le((1,), 0), LC.gt((1,), 0)], 1) is None
-        assert feasible([LC.le((1,), 0), LC.ge((1,), 0), LC.lt((1,), 0)], 1) is None
-
-    def test_empty_system(self):
-        assert feasible([], 3) == (Fraction(0),) * 3
-
-    def test_unbounded_directions(self):
-        w = feasible([LC.gt((1,), 1000)], 1)
-        assert w is not None and w[0] > 1000
-        w = feasible([LC.ge((1, -1), 5)], 2)
-        assert w is not None and w[0] - w[1] >= 5
-
-    def test_dimension_checked(self):
-        with pytest.raises(DimensionMismatch):
-            feasible([LC.le((1, 0), 1)], 1)
-
-    def test_deterministic(self):
-        sys = [LC.gt((1, 1), 0), LC.lt((1, -1), 2), LC.le((0, 1), 5)]
-        assert feasible(sys, 2) == feasible(sys, 2)
-
-    def test_planted_points_always_found(self):
-        rng = random.Random(21)
-        for _ in range(120):
-            d = rng.randint(1, 4)
-            x0 = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(d))
-            cons = []
-            for _ in range(rng.randint(1, 7)):
-                n = tuple(rng.randint(-4, 4) for _ in range(d))
-                if not any(n):
-                    continue
-                val = sum(Fraction(a) * x for a, x in zip(n, x0))
-                kind = rng.choice(["<", "<=", "="])
-                if kind == "=":
-                    cons.append(LC.eq(n, val))
-                elif kind == "<=":
-                    cons.append(LC.le(n, val + Fraction(rng.randint(0, 3), 2)))
-                else:
-                    cons.append(LC.lt(n, val + Fraction(rng.randint(1, 4), 3)))
-            w = feasible(cons, d)
-            assert w is not None
-            for c in cons:
-                assert c.holds_at(w)
-
-    def test_strict_margin_everywhere(self):
-        sys = [
-            LC.gt((1, 0), 0),
-            LC.lt((1, 0), 1),
-            LC.gt((0, 1), 0),
-            LC.lt((0, 1), 1),
-            LC.lt((1, 1), 1),
-        ]
-        w = feasible(sys, 2)
-        assert w is not None
-        assert 0 < w[0] and 0 < w[1] and w[0] + w[1] < 1
-
-
-class TestNullspace:
-    def test_orthogonal_complement(self):
-        basis = nullspace([[1, 1, 0]], 3)
-        assert len(basis) == 2
-        for v in basis:
-            assert v[0] + v[1] == 0
-
-    def test_empty_rows_full_space(self):
-        assert len(nullspace([], 4)) == 4
-
-
-class TestRelativeDimIs:
-    def test_segment_in_plane(self):
-        sys = [LC.eq((1, 0), 0), LC.ge((0, 1), 0), LC.le((0, 1), 1)]
-        assert relative_dim_is(sys, 2, 1)
-        assert not relative_dim_is(sys, 2, 0)
-        assert not relative_dim_is(sys, 2, 2)
-
-    def test_point(self):
-        sys = [LC.eq((1, 0), 0), LC.eq((0, 1), 0)]
-        assert not relative_dim_is(sys, 2, 1)
-        assert relative_dim_is(sys, 2, 0)
-
-    def test_corner_touching_squares(self):
-        unit = [LC.ge((1, 0), 0), LC.le((1, 0), 1), LC.ge((0, 1), 0), LC.le((0, 1), 1)]
-        shifted = [LC.ge((1, 0), 1), LC.le((1, 0), 2), LC.ge((0, 1), 1), LC.le((0, 1), 2)]
-        assert not relative_dim_is(unit + shifted, 2, 1)
-        assert relative_dim_is(unit + shifted, 2, 0)
-
-    def test_full_dimension(self):
-        unit = [LC.ge((1, 0), 0), LC.le((1, 0), 1), LC.ge((0, 1), 0), LC.le((0, 1), 1)]
-        assert relative_dim_is(unit, 2, 2)
-
-    def test_infeasible_closed_system(self):
-        sys = [LC.le((1,), 0), LC.ge((1,), 1)]
-        assert not relative_dim_is(sys, 1, 0)
-
-    def test_strict_relative_interior_required(self):
-        sys = [LC.eq((1, 0), 0), LC.gt((0, 1), 0), LC.lt((0, 1), 0)]
-        assert not relative_dim_is(sys, 2, 1)
-        sys = [LC.eq((1, 0), 0), LC.gt((0, 1), 0), LC.lt((0, 1), 1)]
-        assert relative_dim_is(sys, 2, 1)
+    def test_holds_at_on_and_off_the_boundary(self):
+        on, inside = (Fraction(1), Fraction(2)), (Fraction(1, 3), Fraction(1))
+        assert LC((1, 1), 3, "=").holds_at(on) and not LC((1, 1), 3, "=").holds_at(inside)
+        assert LC((1, 1), 3, "<=").holds_at(on) and LC((1, 1), 3, "<=").holds_at(inside)
+        assert not LC((1, 1), 3, "<").holds_at(on) and LC((1, 1), 3, "<").holds_at(inside)

@@ -17,10 +17,9 @@ from conftest import (
     random_unimodular,
 )
 from torusarr import regions
-from torusarr._geometry import hull_h
 from torusarr.arrangement import Arrangement, Subtorus, subtorus_from_equation, transform, translate
 from torusarr.errors import DimensionMismatch, DuplicateSubtorus, InvalidParams, ResourceCapError
-from torusarr.feasibility import LinConstraint, feasible
+from torusarr.feasibility import LinConstraint
 from torusarr.regions import (
     _local_term,
     build_cells,
@@ -32,20 +31,32 @@ from torusarr.regions import (
 F = Fraction
 
 
+def convex_hull(points):
+    """Counter-clockwise hull of exact planar points (Andrew's monotone chain)."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    chains = []
+    for seq in (pts, pts[::-1]):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        chains.append(chain[:-1])
+    return chains[0] + chains[1]
+
+
 def poly_area(points):
-    hpts = []
-    for x, y in points:
-        den = math.lcm(x.denominator, y.denominator)
-        hpts.append((int(x * den), int(y * den), den))
-    hull = hull_h(hpts)
+    hull = convex_hull(points)
     if len(hull) < 3:
         return F(0)
-    twice = F(0)
-    for i in range(len(hull)):
-        x1, y1, w1 = hull[i]
-        x2, y2, w2 = hull[(i + 1) % len(hull)]
-        twice += F(x1 * y2 - x2 * y1, w1 * w2)
-    return twice / 2
+    twice = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]))
+    return F(twice) / 2
 
 
 class TestLiftHyperplanes:
@@ -116,26 +127,22 @@ class TestBuildCells:
             total = sum(poly_area(vs) for vs in cc.cell_vertices)
             assert total == 1
 
-    def test_open_cells_feasible_with_kernel(self):
-        # The constraint systems of the public cells must be feasible even
-        # with every relation made strict (full-dimensional interior), and
-        # an interior witness must sit on the recorded side of every sheet:
-        # cross-validation between the vertex path and the kernel.
-        from torusarr.feasibility import LinConstraint
-
-        rng = random.Random(33)
-        for _ in range(5):
-            arr = random_arrangement(rng, 2, rng.randint(1, 3))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_vertex_centroid_certifies_every_open_cell(self, d):
+        # The vertex centroid of a public cell must satisfy its constraints
+        # with every relation made strict and lie on the recorded side of
+        # every sheet: an exact witness that the open cell is nonempty and
+        # full-dimensional, and that its sign vector is right.
+        rng = random.Random(33 + d)
+        for _ in range(6):
+            arr = random_arrangement(rng, d, rng.randint(1, 5 - d // 2), bound=3 if d <= 2 else 1)
             cc = build_cells(arr)
-            for poly, signs in zip(cc.cells, cc.sign_vectors):
-                assert feasible(poly.constraints, cc.dim) is not None
-                interior = [
-                    LinConstraint(c.normal, c.rhs, "<") for c in poly.constraints
-                ]
-                w = feasible(interior, cc.dim)
-                assert w is not None
+            for poly, signs, verts in zip(cc.cells, cc.sign_vectors, cc.cell_vertices):
+                centroid = tuple(sum(v[k] for v in verts) / len(verts) for k in range(d))
+                for c in poly.constraints:
+                    assert LinConstraint(c.normal, c.rhs, "<").holds_at(centroid)
                 for (normal, rhs), side in zip(cc.sheets, signs):
-                    val = sum(F(a) * x for a, x in zip(normal, w))
+                    val = sum(a * x for a, x in zip(normal, centroid))
                     assert val != rhs
                     assert (1 if val > rhs else -1) == side
 
