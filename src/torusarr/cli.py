@@ -142,7 +142,7 @@ def _cmd_feasible(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    arr = construct_for(args.d, args.n, args.f)
+    arr = construct_for(args.d, args.n, args.f, max_sheets=_max_sheets(args))
     header = f"constructed: d={args.d} n={args.n} f={args.f} (verified)"
     if args.output:
         save_tarr(arr, args.output, header=header)
@@ -278,6 +278,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output", default=None, metavar="FILE",
                    help="write .tarr here instead of stdout")
     p.add_argument("--json", action="store_true")
+    p.add_argument("--max-sheets", type=int, dest="max_sheets")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="count regions, then check all proven bounds")

@@ -5,11 +5,12 @@ determinant-one integer matrix, the squared metric data of an integer
 hyperplane, the gcd of all 2x2 minors of a pair of vectors (used as an
 independent oracle for pairwise intersection counts), the Hermite normal
 form of an integer lattice with canonical coset representatives (used to
-identify torus regions), the adjugate of a square matrix, and the elements
-of the subgroup of (Z/D)^r that some vectors generate. The last two list
-the intersection points of subtori: for a nonsingular A whose determinant
-divides D, the solutions of A y = 0 (mod D) are the subgroup generated by
-the columns of (D / det A) adj A.
+identify torus regions), and the nonsingular r-subsets of some vectors in
+Z^r with the columns of det A^{-1} and the radices of the lower-triangular
+Hermite form of each subset's matrix A. The last lists the intersection
+points of subtori: for det A dividing D, the solutions of A y = 0 (mod D)
+are the sums of k_i times column i of D A^{-1}, with 0 <= k_i < h_i, a
+mixed-radix box with no repeats.
 
 Everything runs on arbitrary-precision integers; no floating point anywhere.
 All functions are pure and all returned values are immutable, so the module
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionMismatch, InvalidInput, NonPrimitive
 
@@ -308,69 +310,77 @@ def reduce_mod_lattice(v, basis) -> IntVec:
     return tuple(out)
 
 
-def adjugate(rows) -> tuple[IntMatrix, int] | None:
-    """Adjugate and determinant of a nonsingular square integer matrix A, or
-    None when det(A) = 0; A @ adj(A) = det(A) I.
+def nonsingular_subsets(rows) -> tuple[tuple[IntVec, IntMatrix, int, IntVec], ...]:
+    """Every r-subset of the rows, r their length, whose square matrix A is
+    nonsingular, in lexicographic order of the row indices.
 
-    Fraction-free Gauss-Jordan elimination of (A | I), Bareiss's exact
-    division by the previous pivot applied above the pivot as well, leaves
-    (det I | adj A) up to the sign of the row swaps; a column with no pivot
-    shows that A is singular.
+    Each is returned as (indices, cols, det, radices): det = |det A| > 0,
+    cols are the columns of det A^{-1}, so A @ cols = det I, and radices
+    are the diagonal h_1..h_r of the lower-triangular Hermite form of A.
+    h_1 ... h_i is the gcd of the i x i minors of A's first i rows, so the
+    product of all r is det, and the solutions of A y = 0 (mod 1) are
+    A^{-1} k for the det vectors k with 0 <= k_i < h_i, one per class.
+
+    The subsets form a tree of prefixes, and a prefix is eliminated once for
+    all its extensions. A node of j rows keeps delta = h_1 ... h_j, vectors
+    S_1..S_j with prefix @ S_i = delta e_i, and a basis of the prefix's
+    kernel that completes the pivot columns to a determinant-one matrix.
+    A child with row a folds the entries a . k over that basis into one
+    pivot column u with xgcd column operations, as ``hermite_basis`` folds
+    rows, so that a . u = h and a vanishes on the other basis vectors. h = 0
+    prunes the subtree, in which every matrix is singular. Otherwise the
+    child keeps delta h, h S_i - (a . S_i) u and delta u: r dot products
+    per child and no Gauss-Jordan elimination per subset. At depth r - 1
+    the kernel is one vector v, det A = +-delta (a . v), and the S_i are the
+    columns of det A^{-1}.
     """
-    a = tuple(as_intvec(r) for r in rows)
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise DimensionMismatch("matrix is not square")
-    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
-    sign, prev = 1, 1
-    for k in range(n):
-        for p in range(k, n):
-            if m[p][k]:
-                break
+    rows = [as_intvec(a) for a in rows]
+    if not rows:
+        return ()
+    r = len(rows[0])
+    if any(len(a) != r for a in rows):
+        raise DimensionMismatch("rows have different lengths")
+    n, last = len(rows), r - 1
+    found = []
+    # A frame is one prefix: the first row that may extend it, its kernel
+    # basis, its S_i, delta, the pivots and the chosen row indices.
+    eye = [tuple(int(i == k) for i in range(r)) for k in range(r)]
+    stack = [(0, eye, [], 1, (), ())]
+    while stack:
+        start, kernel, cols, delta, radices, chosen = stack.pop()
+        j = len(chosen)
+        # Leaves are listed in increasing order; inner frames are pushed in
+        # decreasing order, so that they pop in increasing order.
+        if j == last:
+            order = range(start, n)
         else:
-            return None
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-            sign = -sign
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        for i, row in enumerate(m):
-            if i != k:
-                f = row[k]
-                m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
-        prev = pivot
-    return tuple(tuple(sign * x for x in row[n:]) for row in m), sign * prev
-
-
-def subgroup_elements(generators, modulus: int, order: int) -> tuple[IntVec, ...]:
-    """The elements of the subgroup of (Z/modulus)^r generated by the vectors.
-
-    Starting from {0}, each generator g is walked, g, 2g, ..., until its
-    next multiple falls back into the subgroup H built so far; the multiples
-    before it are the coset representatives of H in H + <g>, so H + <g> is
-    listed without repeats. Entries are residues in [0, modulus), zero comes
-    first, and the order is deterministic. ``order`` is the size the caller
-    knows the subgroup has; any other size raises RuntimeError.
-    """
-    if modulus < 1:
-        raise InvalidInput(f"the modulus must be positive, got {modulus}")
-    gens = [tuple([x % modulus for x in as_intvec(g)]) for g in generators]
-    if not gens:
-        raise InvalidInput("a subgroup needs at least one generator")
-    if any(len(g) != len(gens[0]) for g in gens):
-        raise DimensionMismatch("generators have different lengths")
-    elems = [(0,) * len(gens[0])]
-    members = set(elems)
-    for g in gens:
-        new = []
-        m = g
-        while m not in members:
-            # elems[0] is zero, so the coset elems + m starts with m itself.
-            new.append(m)
-            new += [tuple([(x + y) % modulus for x, y in zip(h, m)]) for h in elems[1:]]
-            m = tuple([(x + y) % modulus for x, y in zip(m, g)])
-        elems += new
-        members.update(new)
-    if len(elems) != order:
-        raise RuntimeError(f"internal: subgroup has {len(elems)} elements, expected {order}")
-    return tuple(elems)
+            order = range(n - r + j, start - 1, -1)
+        for t in order:
+            a = rows[t]
+            w = [sum(map(mul, a, b)) for b in kernel]
+            h, u = w[0], kernel[0]
+            rest = kernel[1:]
+            for k in range(1, len(w)):
+                if w[k]:
+                    # [[x, -wk/g], [y, h/g]] has determinant (x*h + y*wk)/g = 1.
+                    g, x, y = xgcd(h, w[k])
+                    hg, kg, b = h // g, w[k] // g, rest[k - 1]
+                    u, rest[k - 1] = (
+                        [x * p + y * q for p, q in zip(u, b)],
+                        [hg * q - kg * p for p, q in zip(u, b)],
+                    )
+                    h = g
+            if not h:
+                continue
+            if h < 0:
+                h, u = -h, [-p for p in u]
+            new = [
+                tuple([h * p - c * q for p, q in zip(s, u)])
+                for s, c in zip(cols, [sum(map(mul, a, s)) for s in cols])
+            ]
+            new.append(tuple([delta * q for q in u]))
+            if j == last:
+                found.append((chosen + (t,), tuple(new), delta * h, radices + (h,)))
+            else:
+                stack.append((t + 1, rest, new, delta * h, radices + (h,), chosen + (t,)))
+    return tuple(found)

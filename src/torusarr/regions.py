@@ -16,16 +16,24 @@ the r-subsets S with det A_S != 0 (A_S has rows m_t, t in S): they are
 the |det A_S| solutions y = A_S^{-1} (c_S + k) mod Z^r, k in Z^r, and the
 subtori through a point are the union of the subsets that yield it.
 Parallel subtori share a normal, so they are listed in two passes. The
-first computes the integer adjugate once per set of r distinct normals
-and keeps the nonsingular ones as (adj, det), det > 0. With Q the lcm of
-all offset denominators and D = Q lcm(det), every point is D y reduced
-mod D, a tuple of residues that is equal for equal points, so no gcd
-normalises it. The second pass lists, for each choice of one subtorus
-per normal, e adj (Q c) + G mod D, where e = D / (Q det) and G, the
-subgroup of (Z/D)^r generated by the columns of (D / det) adj, has det
-elements; G is walked once per set of normals
-(``torusarr.lattice.subgroup_elements``). The local term comes from the
-Moebius recursion over the flats of the point's normals.
+first (``torusarr.lattice.nonsingular_subsets``) finds every nonsingular
+set of r distinct normals, in the order of the normals, with det > 0, G =
+det A^{-1} and the radices h_1..h_r of A's lower-triangular Hermite form:
+the sets form a tree of shared prefixes, each prefix is eliminated once
+for all its extensions, and a singular prefix prunes its subtree. h_1 ...
+h_i is the number of components of the intersection of the set's first i
+subtori, so h_i is the ratio of that count to the count for the first
+i - 1; h_1 = 1 since the m_t are primitive, and h_2 is the gcd of the 2 x
+2 minors of the first two normals. With Q the lcm of all offset
+denominators and D = Q lcm(det), every point is D y reduced mod D, a
+tuple of residues that is equal for equal points, so no gcd normalises
+it. The second pass lists, for each choice of one subtorus per normal,
+e G (Q c) + (D / det) G k mod D with e = D / (Q det), for the det vectors
+k of the mixed-radix box 0 <= k_i < h_i: the box holds one k per class
+of Z^r / A Z^r, so it lists each point once with no membership test. The
+box is built once per set of normals, one coordinate at a time. The local
+term comes from the Moebius recursion over the flats of the point's
+normals.
 
 ``build_cells`` and ``region_witnesses`` decompose the fundamental cube
 [0, 1]^d. Every subtorus lifts to the finitely many parallel hyperplane
@@ -71,7 +79,7 @@ from operator import mul
 from .arrangement import Arrangement, Subtorus, validate
 from .errors import DimensionMismatch, InvalidParams, ResourceCapError
 from .feasibility import LinConstraint
-from .lattice import IntVec, adjugate, hermite_basis, reduce_mod_lattice, subgroup_elements
+from .lattice import IntVec, hermite_basis, nonsingular_subsets, reduce_mod_lattice
 
 DEFAULT_MAX_SHEETS = 64
 
@@ -405,6 +413,25 @@ def _local_term(normals: tuple[IntVec, ...]) -> int:
     return abs(sum(mu.values()))
 
 
+def _solution_box(cols, radices, step: int, den: int) -> list[list[int]]:
+    """The solutions of A y = 0 (mod den), one list per coordinate.
+
+    ``cols`` and ``radices`` are what ``nonsingular_subsets`` returns for A,
+    and ``step`` = den / det A. The solutions are the sums of k_i step
+    cols_i with 0 <= k_i < h_i, each listed once: entry m of every list
+    belongs to solution m. Entries are congruent to the solutions mod den,
+    not reduced.
+    """
+    box = [[0]] * len(cols)
+    for col, h in zip(cols, radices):
+        if h > 1:
+            box = [
+                [x + k * g for k in range(h) for x in xs]
+                for xs, g in zip(box, [step * y % den for y in col])
+            ]
+    return box
+
+
 def count_regions(arr: Arrangement, max_sheets: int | None = None) -> int:
     """Number of connected components of the complement of the arrangement.
 
@@ -423,34 +450,28 @@ def count_regions(arr: Arrangement, max_sheets: int | None = None) -> int:
     parallel: dict[IntVec, list[int]] = {}
     for t, a in enumerate(normals):
         parallel.setdefault(a, []).append(t)
-    # First pass: every nonsingular set of r distinct normals, with det > 0.
-    combos = []
-    for classes in itertools.combinations(parallel.items(), r):
-        inverse = adjugate([a for a, _ in classes])
-        if inverse is not None:
-            adj, det = inverse
-            if det < 0:
-                adj, det = tuple(tuple(-x for x in row) for row in adj), -det
-            combos.append(([ts for _, ts in classes], adj, det))
+    # First pass: every nonsingular set of r distinct normals, eliminated on
+    # a tree of shared prefixes, with the columns of det A^{-1} and radices.
+    reps = list(parallel)
+    combos = nonsingular_subsets(reps)
     q = math.lcm(*(t.offset.denominator for t in arr.tori))
-    den = q * math.lcm(*(det for _, _, det in combos))
+    den = q * math.lcm(*(det for _, _, det, _ in combos))
     qc = [t.offset.numerator * (q // t.offset.denominator) for t in arr.tori]
     # Second pass: each intersection point, as den times its coordinates
     # reduced mod den, and the mask of the subtori through it.
     through: dict[IntVec, int] = {}
-    for classes, adj, det in combos:
-        # den y = den adj (c + k) / det = e adj (q c) + (den / det) adj k,
-        # and the vectors (den / det) adj k mod den form the subgroup G.
+    for chosen, cols, det, radices in combos:
+        # den y = den A^{-1} (c + k) = e cols (q c) + (den / det) cols k with
+        # e = den / (q det); the classes of k are the box 0 <= k_i < h_i,
+        # listed one coordinate at a time.
         e = den // (q * det)
-        step = den // det
-        group = subgroup_elements(([step * x for x in col] for col in zip(*adj)), den, det)
-        cols = list(zip(*group))
-        for subset in itertools.product(*classes):
+        box = _solution_box(cols, radices, den // det, den)
+        rows = list(zip(*cols))
+        for subset in itertools.product(*[parallel[reps[i]] for i in chosen]):
             cs = [e * qc[t] for t in subset]
-            base = [sum(map(mul, row, cs)) for row in adj]
+            base = [sum(map(mul, row, cs)) for row in rows]
             mask = sum(1 << t for t in subset)
-            # The points base + G, built one coordinate at a time.
-            for point in zip(*[[(b + x) % den for x in col] for b, col in zip(base, cols)]):
+            for point in zip(*[[(b + x) % den for x in xs] for b, xs in zip(base, box)]):
                 through[point] = through.get(point, 0) | mask
     local: dict[tuple[IntVec, ...], int] = {}
     f = 0

@@ -277,15 +277,17 @@ def construct_family_sheared(d: int, n: int, k: int) -> Arrangement:
     return Arrangement(d, tuple(tori))
 
 
-def construct_for(d: int, n: int, f_target: int) -> Arrangement:
+def construct_for(d: int, n: int, f_target: int, max_sheets: int | None = None) -> Arrangement:
     """An arrangement of exactly n subtori in T^d with f_target regions.
 
     Chooses the parallel family for n-d+1 <= f <= n, the sheared family
     for f >= 2(n-d), and for 2 <= n <= d the pair {x_2 = 0,
     x_2 = f x_1 + 1/2} padded with coordinate subtori. Every result is
-    re-counted before being returned; a mismatch would be a bug and raises
+    re-counted before being returned, under the sheet cap ``max_sheets``
+    as in ``count_regions``; a mismatch would be a bug and raises
     RuntimeError. Raises NotFeasible when no arrangement can attain
-    f_target.
+    f_target, and ResourceCapError when the result lifts to more sheets
+    than the cap.
     """
     if not isinstance(f_target, int):
         raise InvalidParams(f"target count must be an integer, got {f_target!r}")
@@ -314,7 +316,7 @@ def construct_for(d: int, n: int, f_target: int) -> Arrangement:
         arr = construct_family_parallel(d, n, n - f_target)
     else:
         arr = construct_family_sheared(d, n, f_target - 2 * (n - d))
-    counted = count_regions(arr)
+    counted = count_regions(arr, max_sheets=max_sheets)
     if counted != f_target:
         raise RuntimeError(
             f"internal: generator produced {counted} regions instead of {f_target} "

@@ -166,6 +166,20 @@ class TestConstruct:
         assert main(["count", str(path)]) == 0
         assert capsys.readouterr().out == "f = 3\n"
 
+    def test_max_sheets_flag_and_env(self, capsys, monkeypatch):
+        # The arrangement for f = 61 lifts to 65 sheets, one over the default cap.
+        assert main(["construct", "3", "4", "61"]) == 3
+        assert "exceeding the cap" in capsys.readouterr().err
+        assert main(["construct", "3", "4", "61", "--max-sheets", "65"]) == 0
+        assert capsys.readouterr().out.startswith("# constructed: d=3 n=4 f=61 (verified)\n")
+        monkeypatch.setenv("TORUSARR_MAX_SHEETS", "100000")
+        assert main(["construct", "3", "4", "61", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["f"] == 61
+        assert main(["construct", "3", "4", "61", "--max-sheets", "64"]) == 3
+        capsys.readouterr()
+        monkeypatch.setenv("TORUSARR_MAX_SHEETS", "many")
+        assert main(["construct", "3", "4", "61"]) == 1
+
     def test_gap_exit_code_and_message(self, capsys):
         assert main(["construct", "3", "8", "9"]) == 2
         err = capsys.readouterr().err

@@ -1,15 +1,15 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_primitive_vector, random_unimodular
 from torusarr.errors import DimensionMismatch, InvalidInput, NonPrimitive
 from torusarr.lattice import (
-    adjugate,
     as_intvec,
     bezout_chain,
     complete_to_unimodular,
@@ -21,8 +21,8 @@ from torusarr.lattice import (
     is_unimodular,
     matmul_int,
     minors2_gcd,
+    nonsingular_subsets,
     reduce_mod_lattice,
-    subgroup_elements,
     xgcd,
 )
 
@@ -323,86 +323,96 @@ class TestHermiteBasis:
         assert keys == {(0, b) for b in range(-6, 7)}
 
 
-square_matrices = st.integers(1, 5).flatmap(
-    lambda r: st.lists(st.lists(st.integers(-4, 4), min_size=r, max_size=r), min_size=r, max_size=r)
-)
+def _primitive(row):
+    g = math.gcd(*row)
+    return [x // g for x in row] if g else [1] + row[1:]
 
 
-class TestAdjugate:
+@st.composite
+def primitive_square_matrices(draw):
+    """An r x r integer matrix with primitive rows, r <= 5; with some
+    probability its last row is a combination of two earlier ones."""
+    r = draw(st.integers(1, 5))
+    rows = [_primitive(draw(st.lists(st.integers(-4, 4), min_size=r, max_size=r))) for _ in range(r)]
+    if r > 2 and draw(st.booleans()):
+        i, j = draw(st.integers(0, r - 2)), draw(st.integers(0, r - 2))
+        combo = [x + draw(st.integers(-2, 2)) * y for x, y in zip(rows[i], rows[j])]
+        if any(combo):
+            rows[-1] = _primitive(combo)
+    return rows
+
+
+def _gcd_of_minors(rows, i):
+    """gcd of the i x i minors of the first i rows, by brute force."""
+    columns = itertools.combinations(range(len(rows[0])), i)
+    return math.gcd(*(abs(det_int([[row[c] for c in cs] for row in rows[:i]])) for cs in columns))
+
+
+class TestNonsingularSubsets:
     def test_worked_example(self):
-        assert adjugate([(2, 1), (5, 3)]) == (((3, -1), (-5, 2)), 1)
-        assert adjugate([(0, 1), (1, 0)]) == (((0, -1), (-1, 0)), -1)
-        assert adjugate([(-3,)]) == (((1,),), -3)
-        assert adjugate([(1, 2), (2, 4)]) is None
+        assert nonsingular_subsets([(2, 1), (5, 3)]) == (((0, 1), ((3, -5), (-1, 2)), 1, (1, 1)),)
+        # det -1: the columns are those of |det| A^{-1}.
+        assert nonsingular_subsets([(0, 1), (1, 0)]) == (((0, 1), ((0, 1), (1, 0)), 1, (1, 1)),)
+        assert nonsingular_subsets([(-3,)]) == (((0,), ((-1,),), 3, (3,)),)
+        assert nonsingular_subsets([(1, 2), (2, 4)]) == ()
+        # x + y = x - y = 0: two points, the box 0 <= k_2 < 2.
+        assert nonsingular_subsets([(1, 1), (1, -1)]) == (((0, 1), ((1, 1), (1, -1)), 2, (1, 2)),)
 
-    def test_not_square_rejected(self):
+    def test_subsets_in_lexicographic_order(self):
+        rows = [(1, 0), (0, 1), (1, 0), (1, 1)]
+        assert [s[0] for s in nonsingular_subsets(rows)] == [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert nonsingular_subsets([]) == ()
+        assert nonsingular_subsets([(1, 0)]) == ()
+
+    def test_bad_rows_rejected(self):
         with pytest.raises(DimensionMismatch):
-            adjugate([(1, 2, 3), (4, 5, 6)])
+            nonsingular_subsets([(1, 2), (1,)])
+        with pytest.raises(InvalidInput):
+            nonsingular_subsets([(1, 0.5), (0, 1)])
 
-    @given(square_matrices)
-    def test_times_matrix_is_det_times_identity(self, rows):
-        det = det_int(rows)
-        inverse = adjugate(rows)
+    @given(primitive_square_matrices())
+    def test_cols_invert_and_singular_reported(self, rows):
+        det = abs(det_int(rows))
+        found = nonsingular_subsets(rows)
         if det == 0:
-            assert inverse is None
+            assert found == ()
             return
-        adj, d = inverse
+        [(chosen, cols, d, radices)] = found
         r = len(rows)
-        scaled = tuple(tuple(det * (i == j) for j in range(r)) for i in range(r))
+        assert chosen == tuple(range(r))
         assert d == det
-        assert matmul_int(rows, adj) == scaled
-        assert matmul_int(adj, rows) == scaled
-
-
-def kernel_generators(rows, modulus):
-    """Columns of (modulus / det) adj(A): they generate the solutions of
-    A y = 0 (mod modulus), the points A^-1 Z^r / Z^r scaled by modulus."""
-    adj, det = adjugate(rows)
-    return [[modulus // det * x for x in col] for col in zip(*adj)]
-
-
-class TestSubgroupElements:
-    def test_worked_example(self):
-        # diag(2, 3) mod 6: the generators (3, 0) and (0, 2) span Z/2 x Z/3.
-        assert subgroup_elements([(3, 0), (0, 2)], 6, 6) == (
-            (0, 0), (3, 0), (0, 2), (3, 2), (0, 4), (3, 4),
+        assert matmul_int(rows, tuple(zip(*cols))) == tuple(
+            tuple(det * (i == j) for j in range(r)) for i in range(r)
         )
-        assert subgroup_elements([(2,)], 6, 3) == ((0,), (2,), (4,))
-        # x + y = x - y = 0 in T^2 at (0, 0) and (1/2, 1/2), times 4.
-        assert subgroup_elements(kernel_generators([(1, 1), (1, -1)], 4), 4, 2) == ((0, 0), (2, 2))
-        # A generator already in the subgroup adds nothing.
-        assert subgroup_elements([(2,), (4,), (-2,)], 6, 3) == ((0,), (2,), (4,))
 
-    def test_wrong_order_is_an_internal_error(self):
-        with pytest.raises(RuntimeError, match="internal"):
-            subgroup_elements([(2,)], 6, 2)
+    @given(primitive_square_matrices())
+    def test_radices_are_ratios_of_minor_gcds(self, rows):
+        found = nonsingular_subsets(rows)
+        assume(found)
+        [(_, _, det, radices)] = found
+        assert math.prod(radices) == det
+        for i in range(1, len(rows) + 1):
+            assert math.prod(radices[:i]) == _gcd_of_minors(rows, i)
+        assert radices[0] == 1
+        if len(rows) > 1:
+            assert radices[1] == minors2_gcd(rows[0], rows[1])
 
-    def test_bad_generators_rejected(self):
-        with pytest.raises(InvalidInput):
-            subgroup_elements([], 6, 1)
-        with pytest.raises(DimensionMismatch):
-            subgroup_elements([(1, 0), (1,)], 6, 6)
-        with pytest.raises(InvalidInput):
-            subgroup_elements([(1,)], 0, 1)
-
+    @settings(max_examples=60)
     @given(
-        st.integers(1, 5).flatmap(
+        st.integers(1, 4).flatmap(
             lambda r: st.lists(
-                st.lists(st.integers(-2, 2), min_size=r, max_size=r), min_size=r, max_size=r
+                st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any),
+                min_size=r,
+                max_size=r + 3,
             )
-        ),
-        st.integers(1, 3),
+        )
     )
-    def test_solutions_of_a_nonsingular_system(self, rows, scale):
-        det = det_int(rows)
-        assume(0 < abs(det) <= 200)
-        modulus = abs(det) * scale
-        elems = subgroup_elements(kernel_generators(rows, modulus), modulus, abs(det))
-        assert len(set(elems)) == len(elems) == abs(det)
-        members = set(elems)
-        for y in elems:
-            assert all(0 <= x < modulus for x in y)
-            assert all(sum(a * x for a, x in zip(row, y)) % modulus == 0 for row in rows)
-        for y in elems:
-            for z in elems:
-                assert tuple((u + v) % modulus for u, v in zip(y, z)) in members
+    def test_shared_prefixes_match_each_subset_alone(self, rows):
+        # The tree eliminates a prefix once for all its extensions and
+        # prunes singular prefixes; each subset must come out as it does
+        # when eliminated on its own.
+        expect = []
+        for chosen in itertools.combinations(range(len(rows)), len(rows[0])):
+            for _, cols, det, radices in nonsingular_subsets([rows[t] for t in chosen]):
+                expect.append((chosen, cols, det, radices))
+        assert nonsingular_subsets(rows) == tuple(expect)

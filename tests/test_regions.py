@@ -20,8 +20,10 @@ from torusarr import regions
 from torusarr.arrangement import Arrangement, Subtorus, subtorus_from_equation, transform, translate
 from torusarr.errors import DimensionMismatch, DuplicateSubtorus, InvalidParams, ResourceCapError
 from torusarr.feasibility import LinConstraint
+from torusarr.lattice import det_int, nonsingular_subsets
 from torusarr.regions import (
     _local_term,
+    _solution_box,
     build_cells,
     count_regions,
     lift_hyperplanes,
@@ -345,6 +347,34 @@ class TestVertexSum:
         start = time.perf_counter()
         assert count_regions(arr, max_sheets=10**6) == 100
         assert time.perf_counter() - start < 1
+
+
+class TestSolutionBox:
+    def test_worked_example(self):
+        # x + y = x - y = 0 (mod 1) at 0 and (1/2, 1/2); times 4, mod 4.
+        [(_, cols, det, radices)] = nonsingular_subsets([(1, 1), (1, -1)])
+        assert _solution_box(cols, radices, 4 // det, 4) == [[0, 2], [0, 2]]
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda r: st.lists(
+                st.lists(st.integers(-2, 2), min_size=r, max_size=r), min_size=r, max_size=r
+            )
+        ),
+        st.integers(1, 3),
+    )
+    def test_lists_every_solution_once(self, rows, scale):
+        # The box of a nonsingular A lists |det A| distinct residues mod D,
+        # and each one solves A y = 0 (mod D).
+        det = abs(det_int(rows))
+        assume(0 < det <= 200)
+        modulus = det * scale
+        [(_, cols, d, radices)] = nonsingular_subsets(rows)
+        box = _solution_box(cols, radices, modulus // d, modulus)
+        points = [tuple(x % modulus for x in y) for y in zip(*box)]
+        assert len(set(points)) == len(points) == det
+        for y in points:
+            assert all(sum(a * x for a, x in zip(row, y)) % modulus == 0 for row in rows)
 
 
 class TestResourceCap:
@@ -671,6 +701,28 @@ def degenerate_arrangements(draw):
     tori = list(dict.fromkeys(tori))
     assume(sum(len(lift_hyperplanes(t, d)) for t in tori) <= DIFFERENTIAL_MAX_SHEETS[d])
     return Arrangement(d, tuple(tori))
+
+
+class TestOrder:
+    # The prefix tree, the radices and the box all follow the order of the
+    # normals, so a count must not change when the subtori are permuted.
+    @settings(max_examples=80, deadline=None)
+    @given(degenerate_arrangements(), st.randoms(use_true_random=False))
+    def test_permuting_degenerate_subtori(self, arr, rng):
+        tori = list(arr.tori)
+        rng.shuffle(tori)
+        assert count_regions(Arrangement(arr.dim, tuple(tori))) == count_regions(arr)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 7), st.integers(0, 2**32))
+    def test_permuting_random_subtori(self, d, n, seed):
+        rng = random.Random(seed)
+        arr = random_arrangement(rng, d, n, bound=2, max_den=6)
+        f = count_regions(arr, max_sheets=10**6)
+        for _ in range(3):
+            tori = list(arr.tori)
+            rng.shuffle(tori)
+            assert count_regions(Arrangement(d, tuple(tori)), max_sheets=10**6) == f
 
 
 class TestDifferential:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from torusarr.errors import (
     InvalidParams,
     NotFeasible,
     ParamOutOfRange,
+    ResourceCapError,
     TheoremViolation,
 )
 from torusarr.regions import count_regions
@@ -219,6 +221,25 @@ class TestConstructFor:
             construct_for(3, 5, 0)
         with pytest.raises(InvalidParams):
             construct_for(3, 5, "six")
+
+    def test_sheet_cap_reaches_the_recount(self):
+        # The sheared member for f = 61 lifts to 65 sheets, one over the
+        # default cap of the count that verifies it.
+        with pytest.raises(ResourceCapError):
+            construct_for(3, 4, 61)
+        arr = construct_for(3, 4, 61, max_sheets=65)
+        assert count_regions(arr, max_sheets=65) == 61
+        with pytest.raises(ResourceCapError):
+            construct_for(3, 4, 61, max_sheets=64)
+
+    @pytest.mark.parametrize("d, n, f", [(16, 18, 5), (16, 18, 18), (16, 19, 7)])
+    def test_recount_in_dimension_16_is_fast(self, d, n, f):
+        # A count polynomial in the rank takes milliseconds here; one that
+        # tabulates minors over subsets of the 16 coordinates takes seconds.
+        start = time.perf_counter()
+        arr = construct_for(d, n, f)
+        assert time.perf_counter() - start < 0.5
+        assert arr.n == n
 
     def test_round_trip_spread(self):
         for d in (2, 3):
