@@ -11,29 +11,44 @@ region is an open cell, and f = sum over the intersection points p of
 |mu(0, 1)| in the lattice of flats of the subtori through p (toric
 Zaslavsky: Ehrenborg, Readdy and Slone, "Affine and toric hyperplane
 arrangements", 2009; Moci, "A Tutte polynomial for toric arrangements",
-2012). A point on exactly r subtori contributes 1. The points come from
-the r-subsets S with det A_S != 0 (A_S has rows m_t, t in S): they are
-the |det A_S| solutions y = A_S^{-1} (c_S + k) mod Z^r, k in Z^r, and the
-subtori through a point are the union of the subsets that yield it.
-Parallel subtori share a normal, so they are listed in two passes. The
-first (``torusarr.lattice.nonsingular_subsets``) finds every nonsingular
-set of r distinct normals, in the order of the normals, with det > 0, G =
-det A^{-1} and the radices h_1..h_r of A's lower-triangular Hermite form:
-the sets form a tree of shared prefixes, each prefix is eliminated once
-for all its extensions, and a singular prefix prunes its subtree. h_1 ...
-h_i is the number of components of the intersection of the set's first i
-subtori, so h_i is the ratio of that count to the count for the first
-i - 1; h_1 = 1 since the m_t are primitive, and h_2 is the gcd of the 2 x
-2 minors of the first two normals. With Q the lcm of all offset
-denominators and D = Q lcm(det), every point is D y reduced mod D, a
-tuple of residues that is equal for equal points, so no gcd normalises
-it. The second pass lists, for each choice of one subtorus per normal,
-e G (Q c) + (D / det) G k mod D with e = D / (Q det), for the det vectors
-k of the mixed-radix box 0 <= k_i < h_i: the box holds one k per class
-of Z^r / A Z^r, so it lists each point once with no membership test. The
-box is built once per set of normals, one coordinate at a time. The local
-term comes from the Moebius recursion over the flats of the point's
-normals.
+2012).
+
+That |mu| is the number of no-broken-circuit bases of the central
+arrangement at p (Bjorner, "On the homology of geometric lattices", 1982;
+Orlik and Terao, "Arrangements of Hyperplanes", 1992, ch. 3). Order the
+hyperplanes. A hyperplane outside a basis B is externally active when it
+precedes every member of its fundamental circuit, the members of B whose
+normals its normal needs, and B is an NBC basis when none through p is.
+So f is the number of pairs (B, p), B a set of r subtori and p one of
+their common points, such that no externally active subtorus passes
+through p. Parallel subtori never meet, so activity depends on the
+classes of parallel subtori alone, ordered by their first subtorus; a
+point on exactly r subtori contributes 1.
+
+The points of B come from its matrix A (rows m_t, t in B): they are the
+|det A| solutions y = A^{-1} (c_B + k) mod Z^r, k in Z^r. The count
+takes two passes. The first (``torusarr.lattice.nonsingular_subsets``)
+finds every nonsingular set of r distinct normals, in the order of the
+classes, with det > 0, G = det A^{-1} and the radices h_1..h_r of A's
+lower-triangular Hermite form: the sets form a tree of shared prefixes,
+each prefix is eliminated once for all its extensions, and a singular
+prefix prunes its subtree. h_1 ... h_i is the number of components of
+the intersection of the set's first i subtori, so h_i is the ratio of
+that count to the count for the first i - 1; h_1 = 1 since the m_t are
+primitive, and h_2 is the gcd of the 2 x 2 minors of the first two
+normals. The second pass finds each set's active classes: with G's
+columns g_i, the fundamental circuit of class c is the i with m_c . g_i
+!= 0, so every class before the set's first member is active, none after
+its last is, and one in between is not as soon as a member before it has
+m_c . g_i != 0. A set with no active class adds det times the number of
+choices of one subtorus per normal and lists nothing. Otherwise, with Q
+the lcm of all offset denominators and D = Q lcm(det), D y = e G (Q c) +
+(D / det) G k with e = D / (Q det), and the pass lists m_c . (D / det) G
+k mod D for every active class c over the det vectors k of the
+mixed-radix box 0 <= k_i < h_i, which holds one k per class of Z^r / A
+Z^r, one coordinate at a time. For each choice of subtori a point then
+counts unless m_c . D y = D c_t (mod D) for some subtorus t of an active
+class c, and a point on two active classes is counted out once.
 
 ``build_cells`` and ``region_witnesses`` decompose the fundamental cube
 [0, 1]^d. Every subtorus lifts to the finitely many parallel hyperplane
@@ -363,70 +378,21 @@ def build_cells(arr: Arrangement, max_sheets: int | None = None, glue: bool = Fa
     return _to_public(cells, sheets, arr.dim, None, None)
 
 
-def _primitive(v: list[int]) -> IntVec:
-    g = math.gcd(*v)
-    return tuple(x // g for x in v)
-
-
-def _local_term(normals: tuple[IntVec, ...]) -> int:
-    """|mu(0, 1)| of the central arrangement in R^r with these normals.
-
-    The normals span R^r and no two are parallel. Flats are found rank by
-    rank, each as the mask of the normals vanishing on it with an integer
-    basis of its subspace X; the flat above it through hyperplane t is the
-    intersection of X with t's hyperplane, and the flats above a flat
-    partition the hyperplanes outside it. mu(0, X) is minus the sum of mu
-    over the flats whose masks lie inside X's, and mu(0, 1) minus the sum
-    over all flats below the point. Only the hyperplanes in ``rest``, those
-    outside X and outside the flats above X found so far, can join a new
-    flat above X.
-    """
-    r = len(normals[0])
-    full = (1 << len(normals)) - 1
-    mu = {0: 1}
-    level = {0: [tuple(int(i == j) for j in range(r)) for i in range(r)]}
-    for _ in range(r - 1):
-        above: dict[int, list[IntVec]] = {}
-        for mask, space in level.items():
-            rest = full & ~mask
-            while rest:
-                t = (rest & -rest).bit_length() - 1
-                vals = [sum(map(mul, normals[t], v)) for v in space]
-                p = next(i for i, val in enumerate(vals) if val)
-                sub = [
-                    _primitive([vals[p] * x - val * y for x, y in zip(v, space[p])])
-                    for i, (v, val) in enumerate(zip(space, vals))
-                    if i != p
-                ]
-                flat = mask | 1 << t
-                others = rest & ~flat
-                while others:
-                    s = (others & -others).bit_length() - 1
-                    others &= others - 1
-                    if not any(sum(map(mul, normals[s], v)) for v in sub):
-                        flat |= 1 << s
-                rest &= ~flat
-                above.setdefault(flat, sub)
-        for flat in above:
-            mu[flat] = -sum(m for y, m in mu.items() if y & flat == y)
-        level = above
-    return abs(sum(mu.values()))
-
-
 def _solution_box(cols, radices, step: int, den: int) -> list[list[int]]:
     """The solutions of A y = 0 (mod den), one list per coordinate.
 
     ``cols`` and ``radices`` are what ``nonsingular_subsets`` returns for A,
     and ``step`` = den / det A. The solutions are the sums of k_i step
-    cols_i with 0 <= k_i < h_i, each listed once: entry m of every list
-    belongs to solution m. Entries are congruent to the solutions mod den,
-    not reduced.
+    cols_i with 0 <= k_i < h_i, each listed once, reduced mod den: entry m
+    of every list belongs to solution m. Given L cols_i in place of the
+    cols_i, for an integer matrix L, the lists hold L y for the same
+    solutions in the same order.
     """
-    box = [[0]] * len(cols)
+    box = [[0]] * len(cols[0])
     for col, h in zip(cols, radices):
         if h > 1:
             box = [
-                [x + k * g for k in range(h) for x in xs]
+                [(x + k * g) % den for k in range(h) for x in xs]
                 for xs, g in zip(box, [step * y % den for y in col])
             ]
     return box
@@ -435,54 +401,68 @@ def _solution_box(cols, radices, step: int, den: int) -> list[list[int]]:
 def count_regions(arr: Arrangement, max_sheets: int | None = None) -> int:
     """Number of connected components of the complement of the arrangement.
 
-    Counted by the vertex sum over the intersection points of the reduced,
-    essential arrangement, with no cells (see the module docstring).
+    Counted as the no-broken-circuit bases of the reduced, essential
+    arrangement's intersection points, with no cells (see the module
+    docstring).
     """
     validate(arr)
     _check_sheet_cap(arr, max_sheets)
     if not arr.tori:
         return 1
     basis = _normal_basis(arr)
-    r = len(basis)
-    normals = list(zip(*basis))
     # Subtori are parallel exactly when their normals agree: no two are
-    # opposite, since the a_t are sign-normalized.
+    # opposite, since the a_t are sign-normalized. Activity follows the
+    # order of the classes, here that of their first subtorus; any order
+    # gives the same count.
     parallel: dict[IntVec, list[int]] = {}
-    for t, a in enumerate(normals):
+    for t, a in enumerate(zip(*basis)):
         parallel.setdefault(a, []).append(t)
+    reps = list(parallel)
+    classes = list(parallel.values())
     # First pass: every nonsingular set of r distinct normals, eliminated on
     # a tree of shared prefixes, with the columns of det A^{-1} and radices.
-    reps = list(parallel)
     combos = nonsingular_subsets(reps)
     q = math.lcm(*(t.offset.denominator for t in arr.tori))
     den = q * math.lcm(*(det for _, _, det, _ in combos))
     qc = [t.offset.numerator * (q // t.offset.denominator) for t in arr.tori]
-    # Second pass: each intersection point, as den times its coordinates
-    # reduced mod den, and the mask of the subtori through it.
-    through: dict[IntVec, int] = {}
-    for chosen, cols, det, radices in combos:
-        # den y = den A^{-1} (c + k) = e cols (q c) + (den / det) cols k with
-        # e = den / (q det); the classes of k are the box 0 <= k_i < h_i,
-        # listed one coordinate at a time.
-        e = den // (q * det)
-        box = _solution_box(cols, radices, den // det, den)
-        rows = list(zip(*cols))
-        for subset in itertools.product(*[parallel[reps[i]] for i in chosen]):
-            cs = [e * qc[t] for t in subset]
-            base = [sum(map(mul, row, cs)) for row in rows]
-            mask = sum(1 << t for t in subset)
-            for point in zip(*[[(b + x) % den for x in xs] for b, xs in zip(base, box)]):
-                through[point] = through.get(point, 0) | mask
-    local: dict[tuple[IntVec, ...], int] = {}
+    # den c_t, the value of m_t . (den y) on subtorus t, mod den.
+    levels = [[den // q * qc[t] for t in ts] for ts in classes]
     f = 0
-    for mask in through.values():
-        if mask.bit_count() == r:
-            f += 1
+    for chosen, cols, det, radices in combos:
+        # Class c outside the basis is active when it precedes every member
+        # of its fundamental circuit, the i with m_c . cols_i != 0: all
+        # classes before chosen[0] are, none after chosen[-1] is, and one in
+        # between is not once a member before it has m_c . cols_i != 0.
+        active = []
+        j = 0
+        for c in range(chosen[-1]):
+            if c == chosen[j]:
+                j += 1
+                continue
+            for col in cols[:j]:
+                if sum(map(mul, reps[c], col)):
+                    break
+            else:
+                active.append((c, j))
+        if not active:
+            f += det * math.prod(len(classes[i]) for i in chosen)
             continue
-        key = tuple(normals[t] for t in range(arr.n) if mask >> t & 1)
-        if key not in local:
-            local[key] = _local_term(key)
-        f += local[key]
+        # m_c . (den y) = e (m_c . cols) (q c) + m_c . (den / det) cols k
+        # with e = den / (q det), listed over the box of k for every active
+        # class at once. A point counts unless it lies on an active class.
+        dots = [[0] * j + [sum(map(mul, reps[c], col)) for col in cols[j:]] for c, j in active]
+        lines = _solution_box(list(zip(*dots)), radices, den // det, den)
+        e = den // (q * det)
+        for subset in itertools.product(*[classes[i] for i in chosen]):
+            cs = [e * qc[t] for t in subset]
+            hit: set[int] = set()
+            for (c, _), g, line in zip(active, dots, lines):
+                b = sum(map(mul, g, cs))
+                for v in levels[c]:
+                    s = (v - b) % den
+                    if s in line:
+                        hit.update(itertools.compress(range(det), map(s.__eq__, line)))
+            f += det - len(hit)
     return f
 
 

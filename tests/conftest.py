@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -24,7 +26,27 @@ def random_subtorus(rng, d, bound=3, max_den=8):
     return subtorus_from_equation(v, Fraction(p, q))
 
 
+@functools.lru_cache(maxsize=None)
+def distinct_subtori(d, bound, max_den):
+    """Number of distinct subtori ``random_subtorus`` can return: the
+    primitive normals in [-bound, bound]^d up to sign, times the offsets
+    p/q in [0, 1) with q <= max_den (a set closed under negation mod 1)."""
+    normals = {
+        subtorus_from_equation(v, 0).normal
+        for v in itertools.product(range(-bound, bound + 1), repeat=d)
+        if math.gcd(*v) == 1
+    }
+    offsets = {Fraction(p, q) for q in range(1, max_den + 1) for p in range(q)}
+    return len(normals) * len(offsets)
+
+
 def random_arrangement(rng, d, n, bound=3, max_den=8):
+    available = distinct_subtori(d, bound, max_den)
+    if n > available:
+        raise ValueError(
+            f"cannot draw {n} distinct subtori: bound={bound} and max_den={max_den} "
+            f"allow {available} in dimension {d}"
+        )
     seen = set()
     tori = []
     while len(tori) < n:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_arrangement, random_unimodular
+from conftest import distinct_subtori, random_arrangement, random_unimodular
 from torusarr.arrangement import (
     Arrangement,
     Subtorus,
@@ -129,6 +129,27 @@ class TestSubtorusFromEquation:
         s = subtorus_from_equation(coeffs, c)
         again = subtorus_from_equation(s.normal, s.offset)
         assert again == s
+
+
+class TestRandomArrangement:
+    def test_draws_every_distinct_subtorus(self):
+        # d = 1 and max_den = 4: one normal and the offsets 0, 1/4, 1/3,
+        # 1/2, 2/3, 3/4.
+        assert distinct_subtori(1, 3, 4) == 6
+        arr = random_arrangement(random.Random(5), 1, 6, max_den=4)
+        offsets = {Fraction(p, q) for q, p in [(1, 0), (4, 1), (3, 1), (2, 1), (3, 2), (4, 3)]}
+        assert {t.offset for t in arr.tori} == offsets
+
+    def test_too_many_subtori_raise_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"\b7\b.*\ballow 6\b"):
+            random_arrangement(random.Random(5), 1, 7, max_den=4)
+        assert time.perf_counter() - start < 1
+
+    def test_normals_counted_up_to_sign(self):
+        # (1, 0), (0, 1), (1, 1), (1, -1) with offset 0 only.
+        assert distinct_subtori(2, 1, 1) == 4
+        assert len(random_arrangement(random.Random(5), 2, 4, bound=1, max_den=1).tori) == 4
 
 
 class TestValidate:

@@ -22,7 +22,6 @@ from torusarr.errors import DimensionMismatch, DuplicateSubtorus, InvalidParams,
 from torusarr.feasibility import LinConstraint
 from torusarr.lattice import det_int, nonsingular_subsets
 from torusarr.regions import (
-    _local_term,
     _solution_box,
     build_cells,
     count_regions,
@@ -278,6 +277,15 @@ def _through_origin(normals):
     return Arrangement(len(normals[0]), tuple(subtorus_from_equation(a, 0) for a in normals))
 
 
+def _assert_count_in_every_order(tori, f):
+    # Activity follows the order of the classes: the count must not.
+    d = len(tori[0][0])
+    arr = Arrangement(d, tuple(subtorus_from_equation(a, c) for a, c in tori))
+    assert build_cells(arr, glue=True).region_count == f
+    for order in itertools.permutations(arr.tori):
+        assert count_regions(Arrangement(d, order)) == f
+
+
 class TestVertexSum:
     def test_count_builds_no_cells(self, monkeypatch):
         def no_cells(*args):
@@ -292,18 +300,44 @@ class TestVertexSum:
         with pytest.raises(AssertionError):
             build_cells(arr)
 
-    def test_point_on_k_lines_of_the_plane_contributes_k_minus_1(self):
+    def test_k_lines_through_a_point_of_the_plane(self):
+        # The origin contributes k - 1; the other crossings of the k lines
+        # contribute 1 each.
         lines = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2)]
+        counts = []
         for k in range(2, len(lines) + 1):
-            assert _local_term(tuple(lines[:k])) == k - 1
+            arr = _through_origin(lines[:k])
+            counts.append(count_regions(arr))
+            assert counts[-1] == build_cells(arr, glue=True).region_count
+        assert counts == [1, 2, 4, 8, 12, 22]
 
-    def test_four_generic_planes_through_a_point_contribute_3(self):
-        assert _local_term(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))) == 3
+    def test_four_generic_planes_through_a_point(self):
+        # Every triple has |det| 1, so the origin is the only point and
+        # contributes 3.
+        arr = _through_origin([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+        assert count_regions(arr) == build_cells(arr, glue=True).region_count == 3
 
-    def test_planes_with_a_common_line(self):
-        # Three planes through one line and a fourth plane: the line's flat
-        # has mu = 2, every other line mu = 1, so mu(0, 1) = -(1 - 4 + 2 + 3).
-        assert _local_term(((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1))) == 2
+    def test_three_planes_on_a_line_and_a_fourth(self):
+        # The line's flat has mu = 2 and every other line mu = 1, so the
+        # origin contributes -(1 - 4 + 2 + 3) = 2.
+        arr = _through_origin([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+        assert count_regions(arr) == build_cells(arr, glue=True).region_count == 2
+
+    def test_parallel_subtori_of_an_active_class_hit_different_points(self):
+        # x = 0 and x = 1/2 come first, so their class is active for the
+        # basis x + y = 0, x - y = 0, whose two points (0, 0) and
+        # (1/2, 1/2) each lie on one of them.
+        tori = [((1, 0), 0), ((1, 0), F(1, 2)), ((1, 1), 0), ((1, -1), 0)]
+        _assert_count_in_every_order(tori, 4)
+
+    def test_several_choices_of_subtori_for_one_basis(self):
+        # The basis x, y has four choices of one subtorus each; x + y = 0
+        # and x + y = 1/2 come first and cover (0, 0) and (1/2, 0) of them.
+        tori = [
+            ((1, 1), 0), ((1, 1), F(1, 2)), ((1, 0), 0), ((1, 0), F(1, 2)),
+            ((0, 1), 0), ((0, 1), F(1, 3)),
+        ]
+        _assert_count_in_every_order(tori, 10)
 
     def test_local_terms_in_a_count(self):
         # Four lines through the origin of T^2: the origin contributes 3,
@@ -337,6 +371,16 @@ class TestVertexSum:
         tori = [subtorus_from_equation(a, F(rng.randrange(q), q)) for a, q in zip(normals, dens)]
         arr = Arrangement(3, tuple(tori))
         assert count_regions(arr) == build_cells(arr, glue=True).region_count == 29
+
+    def test_degenerate_random_input_in_dimension_4_is_fast(self):
+        # 16 subtori with normals in {-1, 0, 1}^4 and offsets of
+        # denominator at most 4 meet in 914 points, 271 of them on more
+        # than four subtori; the count is pinned to the one a Moebius
+        # recursion over each point's flats gave.
+        arr = random_arrangement(random.Random(1), 4, 16, bound=1, max_den=4)
+        start = time.perf_counter()
+        assert count_regions(arr, max_sheets=10**6) == 1820
+        assert time.perf_counter() - start < 2
 
     def test_many_parallel_subtori_beyond_the_sheet_cap(self):
         # 100 parallel subtori and two more: of the 171700 triples only the
