@@ -195,14 +195,13 @@ def _report_lines(report) -> list[str]:
     return lines
 
 
-def _cmd_verify(args) -> int:
-    arr = _load(args.file)
-    f = count_regions(arr, max_sheets=_max_sheets(args))
+def _emit_report(args, arr: Arrangement, f: int, footer: tuple[str, ...] = ()) -> int:
+    """Check every bound for f regions and report it, as JSON or as lines."""
     report = check_bounds(arr, f)
     if args.json:
         _emit_json(
             {
-                "command": "verify",
+                "command": args.command,
                 "d": arr.dim,
                 "n": arr.n,
                 "f": f,
@@ -211,31 +210,21 @@ def _cmd_verify(args) -> int:
             }
         )
     else:
-        for line in _report_lines(report):
+        for line in _report_lines(report) + list(footer):
             print(line)
-        print("verdict: OK")
     return EXIT_OK
+
+
+def _cmd_verify(args) -> int:
+    arr = _load(args.file)
+    f = count_regions(arr, max_sheets=_max_sheets(args))
+    return _emit_report(args, arr, f, ("verdict: OK",))
 
 
 def _cmd_bounds(args) -> int:
     arr = _load(args.file)
     f = args.f if args.f is not None else count_regions(arr, max_sheets=_max_sheets(args))
-    report = check_bounds(arr, f)
-    if args.json:
-        _emit_json(
-            {
-                "command": "bounds",
-                "d": arr.dim,
-                "n": arr.n,
-                "f": f,
-                "m": report.m,
-                "verdicts": report.to_json(),
-            }
-        )
-    else:
-        for line in _report_lines(report):
-            print(line)
-    return EXIT_OK
+    return _emit_report(args, arr, f)
 
 
 def _build_parser() -> _Parser:

@@ -10,17 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arrangement import _as_fraction
 from .errors import InvalidInput
 
 _RELATIONS = ("<", "<=", "=")
 
 feasible = None  # never called; looked up by INNER in perfbench/spans.py
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        raise InvalidInput(f"floating point value {x!r} rejected; use Fraction or str")
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -32,7 +27,7 @@ class LinConstraint:
     relation: str
 
     def __post_init__(self):
-        vec = tuple(_frac(x) for x in self.normal)
+        vec = tuple(_as_fraction(x) for x in self.normal)
         if not vec:
             raise InvalidInput("empty constraint normal")
         if all(x == 0 for x in vec):
@@ -40,7 +35,7 @@ class LinConstraint:
         if self.relation not in _RELATIONS:
             raise InvalidInput(f"relation must be one of {_RELATIONS}, got {self.relation!r}")
         object.__setattr__(self, "normal", vec)
-        object.__setattr__(self, "rhs", _frac(self.rhs))
+        object.__setattr__(self, "rhs", _as_fraction(self.rhs))
 
     def holds_at(self, point) -> bool:
         val = sum(a * x for a, x in zip(self.normal, point))

@@ -6,11 +6,13 @@ hyperplane, the gcd of all 2x2 minors of a pair of vectors (used as an
 independent oracle for pairwise intersection counts), the Hermite normal
 form of an integer lattice with canonical coset representatives (used to
 identify torus regions), and the nonsingular r-subsets of some vectors in
-Z^r with the columns of det A^{-1} and the radices of the lower-triangular
-Hermite form of each subset's matrix A. The last lists the intersection
-points of subtori: for det A dividing D, the solutions of A y = 0 (mod D)
-are the sums of k_i times column i of D A^{-1}, with 0 <= k_i < h_i, a
-mixed-radix box with no repeats.
+Z^r, each with the columns of det A^{-1} for its matrix A, the radices of
+A's lower-triangular Hermite form and the rows outside the subset that lie
+in the span of its rows with a smaller index. The last lists the
+intersection points of subtori and their no-broken-circuit bases: for
+det A dividing D, the solutions of A y = 0 (mod D) are the sums of k_i
+times column i of D A^{-1}, with 0 <= k_i < h_i, a mixed-radix box with
+no repeats.
 
 Everything runs on arbitrary-precision integers; no floating point anywhere.
 All functions are pure and all returned values are immutable, so the module
@@ -310,16 +312,18 @@ def reduce_mod_lattice(v, basis) -> IntVec:
     return tuple(out)
 
 
-def nonsingular_subsets(rows) -> tuple[tuple[IntVec, IntMatrix, int, IntVec], ...]:
+def nonsingular_subsets(rows) -> tuple[tuple[IntVec, IntMatrix, int, IntVec, IntVec], ...]:
     """Every r-subset of the rows, r their length, whose square matrix A is
     nonsingular, in lexicographic order of the row indices.
 
-    Each is returned as (indices, cols, det, radices): det = |det A| > 0,
-    cols are the columns of det A^{-1}, so A @ cols = det I, and radices
-    are the diagonal h_1..h_r of the lower-triangular Hermite form of A.
-    h_1 ... h_i is the gcd of the i x i minors of A's first i rows, so the
-    product of all r is det, and the solutions of A y = 0 (mod 1) are
-    A^{-1} k for the det vectors k with 0 <= k_i < h_i, one per class.
+    Each is returned as (indices, cols, det, radices, spanned): det =
+    |det A| > 0, cols are the columns of det A^{-1}, so A @ cols = det I,
+    and radices are the diagonal h_1..h_r of the lower-triangular Hermite
+    form of A. h_1 ... h_i is the gcd of the i x i minors of A's first i
+    rows, so the product of all r is det, and the solutions of A y = 0
+    (mod 1) are A^{-1} k for the det vectors k with 0 <= k_i < h_i, one
+    per class. spanned lists, in increasing order, the rows t outside the
+    subset that lie in the span of its rows with an index below t.
 
     The subsets form a tree of prefixes, and a prefix is eliminated once for
     all its extensions. A node of j rows keeps delta = h_1 ... h_j, vectors
@@ -328,11 +332,13 @@ def nonsingular_subsets(rows) -> tuple[tuple[IntVec, IntMatrix, int, IntVec], ..
     A child with row a folds the entries a . k over that basis into one
     pivot column u with xgcd column operations, as ``hermite_basis`` folds
     rows, so that a . u = h and a vanishes on the other basis vectors. h = 0
-    prunes the subtree, in which every matrix is singular. Otherwise the
-    child keeps delta h, h S_i - (a . S_i) u and delta u: r dot products
-    per child and no Gauss-Jordan elimination per subset. At depth r - 1
-    the kernel is one vector v, det A = +-delta (a . v), and the S_i are the
-    columns of det A^{-1}.
+    means that a lies in the prefix's span: it prunes the subtree, in which
+    every matrix is singular, and a is spanned for every subset that
+    extends the prefix by a later row. Otherwise the child keeps delta h,
+    h S_i - (a . S_i) u and delta u: r dot products per child and no
+    Gauss-Jordan elimination per subset. At depth r - 1 the kernel is one
+    vector v, det A = +-delta (a . v), the S_i are the columns of
+    det A^{-1}, and every row after the last member is spanned.
     """
     rows = [as_intvec(a) for a in rows]
     if not rows:
@@ -343,19 +349,18 @@ def nonsingular_subsets(rows) -> tuple[tuple[IntVec, IntMatrix, int, IntVec], ..
     n, last = len(rows), r - 1
     found = []
     # A frame is one prefix: the first row that may extend it, its kernel
-    # basis, its S_i, delta, the pivots and the chosen row indices.
+    # basis, its S_i, delta, the pivots, the chosen row indices and the
+    # rows outside it spanned by the members before them.
     eye = [tuple(int(i == k) for i in range(r)) for k in range(r)]
-    stack = [(0, eye, [], 1, (), ())]
+    stack = [(0, eye, [], 1, (), (), ())]
     while stack:
-        start, kernel, cols, delta, radices, chosen = stack.pop()
+        start, kernel, cols, delta, radices, chosen, spanned = stack.pop()
         j = len(chosen)
-        # Leaves are listed in increasing order; inner frames are pushed in
-        # decreasing order, so that they pop in increasing order.
-        if j == last:
-            order = range(start, n)
-        else:
-            order = range(n - r + j, start - 1, -1)
-        for t in order:
+        # A leaf may end on any later row; an inner frame leaves room for
+        # the r - 1 - j rows still to come.
+        stop = n if j == last else n - last + j
+        children = []
+        for t in range(start, stop):
             a = rows[t]
             w = [sum(map(mul, a, b)) for b in kernel]
             h, u = w[0], kernel[0]
@@ -371,6 +376,9 @@ def nonsingular_subsets(rows) -> tuple[tuple[IntVec, IntMatrix, int, IntVec], ..
                     )
                     h = g
             if not h:
+                # Row t is in the prefix's span: in that of the smaller
+                # members of every subset that extends the prefix past t.
+                spanned += (t,)
                 continue
             if h < 0:
                 h, u = -h, [-p for p in u]
@@ -380,7 +388,19 @@ def nonsingular_subsets(rows) -> tuple[tuple[IntVec, IntMatrix, int, IntVec], ..
             ]
             new.append(tuple([delta * q for q in u]))
             if j == last:
-                found.append((chosen + (t,), tuple(new), delta * h, radices + (h,)))
+                found.append(
+                    (
+                        chosen + (t,),
+                        tuple(new),
+                        delta * h,
+                        radices + (h,),
+                        spanned + tuple(range(t + 1, n)),
+                    )
+                )
             else:
-                stack.append((t + 1, rest, new, delta * h, radices + (h,), chosen + (t,)))
+                children.append(
+                    (t + 1, rest, new, delta * h, radices + (h,), chosen + (t,), spanned)
+                )
+        # Pushed in reverse, the children pop in increasing order.
+        stack.extend(reversed(children))
     return tuple(found)

@@ -17,7 +17,7 @@ That |mu| is the number of no-broken-circuit bases of the central
 arrangement at p (Bjorner, "On the homology of geometric lattices", 1982;
 Orlik and Terao, "Arrangements of Hyperplanes", 1992, ch. 3). Order the
 hyperplanes. A hyperplane outside a basis B is externally active when it
-precedes every member of its fundamental circuit, the members of B whose
+follows every member of its fundamental circuit, the members of B whose
 normals its normal needs, and B is an NBC basis when none through p is.
 So f is the number of pairs (B, p), B a set of r subtori and p one of
 their common points, such that no externally active subtorus passes
@@ -26,29 +26,28 @@ classes of parallel subtori alone, ordered by their first subtorus; a
 point on exactly r subtori contributes 1.
 
 The points of B come from its matrix A (rows m_t, t in B): they are the
-|det A| solutions y = A^{-1} (c_B + k) mod Z^r, k in Z^r. The count
-takes two passes. The first (``torusarr.lattice.nonsingular_subsets``)
-finds every nonsingular set of r distinct normals, in the order of the
-classes, with det > 0, G = det A^{-1} and the radices h_1..h_r of A's
-lower-triangular Hermite form: the sets form a tree of shared prefixes,
-each prefix is eliminated once for all its extensions, and a singular
-prefix prunes its subtree. h_1 ... h_i is the number of components of
-the intersection of the set's first i subtori, so h_i is the ratio of
-that count to the count for the first i - 1; h_1 = 1 since the m_t are
+|det A| solutions y = A^{-1} (c_B + k) mod Z^r, k in Z^r. One walk
+(``torusarr.lattice.nonsingular_subsets``) finds every nonsingular set
+of r distinct normals, in the order of the classes, with det > 0, G =
+det A^{-1}, the radices h_1..h_r of A's lower-triangular Hermite form
+and the active classes: the sets form a tree of shared prefixes, each
+prefix is eliminated once for all its extensions, and a singular prefix
+prunes its subtree. h_1 ... h_i is the number of components of the
+intersection of the set's first i subtori, so h_i is the ratio of that
+count to the count for the first i - 1; h_1 = 1 since the m_t are
 primitive, and h_2 is the gcd of the 2 x 2 minors of the first two
-normals. The second pass finds each set's active classes: with G's
-columns g_i, the fundamental circuit of class c is the i with m_c . g_i
-!= 0, so every class before the set's first member is active, none after
-its last is, and one in between is not as soon as a member before it has
-m_c . g_i != 0. A set with no active class adds det times the number of
-choices of one subtorus per normal and lists nothing. Otherwise, with Q
-the lcm of all offset denominators and D = Q lcm(det), D y = e G (Q c) +
-(D / det) G k with e = D / (Q det), and the pass lists m_c . (D / det) G
-k mod D for every active class c over the det vectors k of the
-mixed-radix box 0 <= k_i < h_i, which holds one k per class of Z^r / A
-Z^r, one coordinate at a time. For each choice of subtori a point then
-counts unless m_c . D y = D c_t (mod D) for some subtorus t of an active
-class c, and a point on two active classes is counted out once.
+normals. Class c follows every member of its fundamental circuit exactly
+when m_c lies in the span of the members before it, which the walk's
+zero-pivot test decides; every class after the last member is active. A
+set with no active class adds det times the number of choices of one
+subtorus per normal and lists nothing. Otherwise, with Q the lcm of all
+offset denominators, Q det y = G (Q c) + Q G k, and the count lists
+m_c . Q G k mod Q det for every active class c over the det vectors k of
+the mixed-radix box 0 <= k_i < h_i, which holds one k per class of
+Z^r / A Z^r, one coordinate at a time. For each choice of subtori a point
+then counts unless m_c . Q det y = det Q c_t (mod Q det) for some
+subtorus t of an active class c, and a point on two active classes is
+counted out once.
 
 ``build_cells`` and ``region_witnesses`` decompose the fundamental cube
 [0, 1]^d. Every subtorus lifts to the finitely many parallel hyperplane
@@ -419,47 +418,29 @@ def count_regions(arr: Arrangement, max_sheets: int | None = None) -> int:
         parallel.setdefault(a, []).append(t)
     reps = list(parallel)
     classes = list(parallel.values())
-    # First pass: every nonsingular set of r distinct normals, eliminated on
-    # a tree of shared prefixes, with the columns of det A^{-1} and radices.
-    combos = nonsingular_subsets(reps)
     q = math.lcm(*(t.offset.denominator for t in arr.tori))
-    den = q * math.lcm(*(det for _, _, det, _ in combos))
     qc = [t.offset.numerator * (q // t.offset.denominator) for t in arr.tori]
-    # den c_t, the value of m_t . (den y) on subtorus t, mod den.
-    levels = [[den // q * qc[t] for t in ts] for ts in classes]
     f = 0
-    for chosen, cols, det, radices in combos:
-        # Class c outside the basis is active when it precedes every member
-        # of its fundamental circuit, the i with m_c . cols_i != 0: all
-        # classes before chosen[0] are, none after chosen[-1] is, and one in
-        # between is not once a member before it has m_c . cols_i != 0.
-        active = []
-        j = 0
-        for c in range(chosen[-1]):
-            if c == chosen[j]:
-                j += 1
-                continue
-            for col in cols[:j]:
-                if sum(map(mul, reps[c], col)):
-                    break
-            else:
-                active.append((c, j))
+    # Every nonsingular set of r distinct normals, eliminated on a tree of
+    # shared prefixes, with the columns of det A^{-1}, the radices and the
+    # active classes: those its smaller members span.
+    for chosen, cols, det, radices, active in nonsingular_subsets(reps):
         if not active:
             f += det * math.prod(len(classes[i]) for i in chosen)
             continue
-        # m_c . (den y) = e (m_c . cols) (q c) + m_c . (den / det) cols k
-        # with e = den / (q det), listed over the box of k for every active
-        # class at once. A point counts unless it lies on an active class.
-        dots = [[0] * j + [sum(map(mul, reps[c], col)) for col in cols[j:]] for c, j in active]
-        lines = _solution_box(list(zip(*dots)), radices, den // det, den)
-        e = den // (q * det)
+        # m_c . (q det y) = (m_c . cols) (q c) + m_c . q cols k, listed mod
+        # q det over the box of k for every active class at once. A point
+        # counts unless it lies on an active class.
+        den = q * det
+        dots = [[sum(map(mul, reps[c], col)) for col in cols] for c in active]
+        lines = _solution_box(list(zip(*dots)), radices, q, den)
         for subset in itertools.product(*[classes[i] for i in chosen]):
-            cs = [e * qc[t] for t in subset]
+            cs = [qc[t] for t in subset]
             hit: set[int] = set()
-            for (c, _), g, line in zip(active, dots, lines):
+            for c, g, line in zip(active, dots, lines):
                 b = sum(map(mul, g, cs))
-                for v in levels[c]:
-                    s = (v - b) % den
+                for t in classes[c]:
+                    s = (det * qc[t] - b) % den
                     if s in line:
                         hit.update(itertools.compress(range(det), map(s.__eq__, line)))
             f += det - len(hit)

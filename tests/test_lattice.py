@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_primitive_vector, random_unimodular
@@ -350,13 +350,13 @@ def _gcd_of_minors(rows, i):
 
 class TestNonsingularSubsets:
     def test_worked_example(self):
-        assert nonsingular_subsets([(2, 1), (5, 3)]) == (((0, 1), ((3, -5), (-1, 2)), 1, (1, 1)),)
+        assert nonsingular_subsets([(2, 1), (5, 3)]) == (((0, 1), ((3, -5), (-1, 2)), 1, (1, 1), ()),)
         # det -1: the columns are those of |det| A^{-1}.
-        assert nonsingular_subsets([(0, 1), (1, 0)]) == (((0, 1), ((0, 1), (1, 0)), 1, (1, 1)),)
-        assert nonsingular_subsets([(-3,)]) == (((0,), ((-1,),), 3, (3,)),)
+        assert nonsingular_subsets([(0, 1), (1, 0)]) == (((0, 1), ((0, 1), (1, 0)), 1, (1, 1), ()),)
+        assert nonsingular_subsets([(-3,)]) == (((0,), ((-1,),), 3, (3,), ()),)
         assert nonsingular_subsets([(1, 2), (2, 4)]) == ()
         # x + y = x - y = 0: two points, the box 0 <= k_2 < 2.
-        assert nonsingular_subsets([(1, 1), (1, -1)]) == (((0, 1), ((1, 1), (1, -1)), 2, (1, 2)),)
+        assert nonsingular_subsets([(1, 1), (1, -1)]) == (((0, 1), ((1, 1), (1, -1)), 2, (1, 2), ()),)
 
     def test_subsets_in_lexicographic_order(self):
         rows = [(1, 0), (0, 1), (1, 0), (1, 1)]
@@ -377,9 +377,10 @@ class TestNonsingularSubsets:
         if det == 0:
             assert found == ()
             return
-        [(chosen, cols, d, radices)] = found
+        [(chosen, cols, d, radices, spanned)] = found
         r = len(rows)
         assert chosen == tuple(range(r))
+        assert spanned == ()
         assert d == det
         assert matmul_int(rows, tuple(zip(*cols))) == tuple(
             tuple(det * (i == j) for j in range(r)) for i in range(r)
@@ -389,7 +390,7 @@ class TestNonsingularSubsets:
     def test_radices_are_ratios_of_minor_gcds(self, rows):
         found = nonsingular_subsets(rows)
         assume(found)
-        [(_, _, det, radices)] = found
+        [(_, _, det, radices, _)] = found
         assert math.prod(radices) == det
         for i in range(1, len(rows) + 1):
             assert math.prod(radices[:i]) == _gcd_of_minors(rows, i)
@@ -413,6 +414,31 @@ class TestNonsingularSubsets:
         # when eliminated on its own.
         expect = []
         for chosen in itertools.combinations(range(len(rows)), len(rows[0])):
-            for _, cols, det, radices in nonsingular_subsets([rows[t] for t in chosen]):
+            for _, cols, det, radices, _ in nonsingular_subsets([rows[t] for t in chosen]):
                 expect.append((chosen, cols, det, radices))
-        assert nonsingular_subsets(rows) == tuple(expect)
+        assert tuple(s[:4] for s in nonsingular_subsets(rows)) == tuple(expect)
+
+    @settings(max_examples=80)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda r: st.lists(
+                st.lists(st.integers(-2, 2), min_size=r, max_size=r),
+                min_size=r,
+                max_size=r + 4,
+            )
+        )
+    )
+    @example([(1, 0), (0, 1), (1, 0), (1, 1)])
+    def test_spanned_rows_match_a_rank_oracle(self, rows):
+        # Row t outside a subset is spanned exactly when adding it to the
+        # subset's rows below t leaves the Hermite basis's rank unchanged.
+        # In the example, (0, 1) spans rows 2 and 3, (0, 3) row 2 alone.
+        for chosen, _, _, _, spanned in nonsingular_subsets(rows):
+            expect = []
+            for t in range(len(rows)):
+                if t in chosen:
+                    continue
+                below = [rows[i] for i in chosen if i < t]
+                if len(hermite_basis(below + [rows[t]])) == len(hermite_basis(below)):
+                    expect.append(t)
+            assert spanned == tuple(expect)

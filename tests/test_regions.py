@@ -272,6 +272,16 @@ class TestCountRegions:
             assert count_regions(arr) == expected
             checked += 1
 
+    def test_random_input_in_dimension_5_is_fast(self):
+        # 14 subtori of T^5 with offset denominators up to 8: the lcm of
+        # all the bases' determinants times that of the denominators has
+        # 1052 bits, while each basis's own Q det stays small. The count
+        # is pinned to the one a common modulus for all bases gave.
+        arr = random_arrangement(random.Random(1), 5, 14)
+        start = time.perf_counter()
+        assert count_regions(arr, max_sheets=10**6) == 618479
+        assert time.perf_counter() - start < 2
+
 
 def _through_origin(normals):
     return Arrangement(len(normals[0]), tuple(subtorus_from_equation(a, 0) for a in normals))
@@ -396,7 +406,7 @@ class TestVertexSum:
 class TestSolutionBox:
     def test_worked_example(self):
         # x + y = x - y = 0 (mod 1) at 0 and (1/2, 1/2); times 4, mod 4.
-        [(_, cols, det, radices)] = nonsingular_subsets([(1, 1), (1, -1)])
+        [(_, cols, det, radices, _)] = nonsingular_subsets([(1, 1), (1, -1)])
         assert _solution_box(cols, radices, 4 // det, 4) == [[0, 2], [0, 2]]
 
     @given(
@@ -413,7 +423,7 @@ class TestSolutionBox:
         det = abs(det_int(rows))
         assume(0 < det <= 200)
         modulus = det * scale
-        [(_, cols, d, radices)] = nonsingular_subsets(rows)
+        [(_, cols, d, radices, _)] = nonsingular_subsets(rows)
         box = _solution_box(cols, radices, modulus // d, modulus)
         points = [tuple(x % modulus for x in y) for y in zip(*box)]
         assert len(set(points)) == len(points) == det
