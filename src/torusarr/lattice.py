@@ -62,6 +62,27 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
+def _fold(weights, vectors):
+    """Fold ``vectors`` into u of weight h = +-gcd(weights) and rest, the
+    others in order, each of weight 0; the weights are one linear form's
+    values on the vectors. Each later vector of nonzero weight w is mixed
+    with u by [[x, -w/g], [y, h/g]], (g, x, y) = xgcd(h, w), of determinant
+    (x h + y w)/g = 1. Zero weights are skipped, so h < 0 only when the
+    first weight is the only nonzero one.
+    """
+    pairs = zip(weights, vectors)
+    h, u = next(pairs)
+    rest = []
+    for w, v in pairs:
+        if w:
+            g, x, y = xgcd(h, w)
+            hg, wg = h // g, w // g
+            u, v = [x * p + y * q for p, q in zip(u, v)], [hg * q - wg * p for p, q in zip(u, v)]
+            h = g
+        rest.append(v)
+    return h, u, rest
+
+
 def gcd_vec(a) -> int:
     """gcd of the absolute values of the entries; 0 exactly when all are zero."""
     return math.gcd(*(abs(x) for x in as_intvec(a)))
@@ -169,9 +190,8 @@ def complete_to_unimodular(a) -> IntMatrix:
     """Return M (rows) with det(M) = 1 and a @ M = (1, 0, ..., 0).
 
     In the coordinates y = M^{-1} x the hyperplane sum(a_i x_i) = c becomes
-    y_1 = c. Built by folding entries pairwise with 2x2 determinant-one
-    column operations; the result is one valid completion among many, and
-    only the postcondition is contractual.
+    y_1 = c. Built by ``_fold`` over the identity columns; the result is one
+    valid completion among many, and only the postcondition is contractual.
     """
     vec = as_intvec(a)
     if gcd_vec(vec) != 1:
@@ -181,23 +201,14 @@ def complete_to_unimodular(a) -> IntMatrix:
         # The only 1x1 determinant-one matrix is (1), which cannot map
         # (-1,) to (1,); every other primitive vector has a completion.
         raise InvalidInput("(-1,) admits no determinant-one completion in dimension 1")
-    m = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    r = list(vec)
-    for j in range(1, d):
-        p, q = r[0], r[j]
-        if p == 0 and q == 0:
-            continue
-        g, x, y = xgcd(p, q)
-        # Columns (0, j) are mixed by [[x, -q/g], [y, p/g]], which has
-        # determinant (x*p + y*q)/g = 1.
-        qg, pg = q // g, p // g
-        for row in m:
-            c0, cj = row[0], row[j]
-            row[0] = c0 * x + cj * y
-            row[j] = -c0 * qg + cj * pg
-        r[0], r[j] = g, 0
-    mat = tuple(tuple(row) for row in m)
-    if r != [1] + [0] * (d - 1) or det_int(mat) != 1:
+    # Column j of the identity has weight vec[j]; the folded columns are
+    # those of M.
+    h, u, rest = _fold(vec, [tuple(int(i == j) for i in range(d)) for j in range(d)])
+    if h == -1:
+        # A lone -1 in position 0 (d >= 2): flip two columns.
+        h, u, rest[0] = 1, [-x for x in u], [-x for x in rest[0]]
+    mat = tuple(zip(u, *rest))
+    if h != 1 or det_int(mat) != 1:
         raise RuntimeError(f"internal: unimodular completion failed for {vec}")
     return mat
 
@@ -260,8 +271,8 @@ def hermite_basis(vectors) -> IntMatrix:
     b_i is zero before p_i, b_i[p_i] > 0, and every earlier row has its
     entry at p_i reduced into [0, b_i[p_i]). The basis depends only on the
     lattice, not on the generators (Cohen, A Course in Computational
-    Algebraic Number Theory, section 2.4). Rows are combined with
-    determinant-one 2x2 operations only, so the lattice never changes.
+    Algebraic Number Theory, section 2.4). Each column's live rows are
+    combined by ``_fold``, so the lattice never changes.
     """
     rows = [list(as_intvec(v)) for v in vectors]
     if any(len(r) != len(rows[0]) for r in rows):
@@ -273,17 +284,8 @@ def hermite_basis(vectors) -> IntMatrix:
         rest = [r for r in rows if not r[col]]
         live = [r for r in rows if r[col]]
         if live:
-            pivot = live[0]
-            for r in live[1:]:
-                # [[x, y], [-r/g, p/g]] has determinant (x*p + y*r)/g = 1.
-                g, x, y = xgcd(pivot[col], r[col])
-                pg, rg = pivot[col] // g, r[col] // g
-                pivot, r = (
-                    [x * u + y * v for u, v in zip(pivot, r)],
-                    [pg * v - rg * u for u, v in zip(pivot, r)],
-                )
-                if any(r):
-                    rest.append(r)
+            _, pivot, folded = _fold([r[col] for r in live], live)
+            rest += [r for r in folded if any(r)]
             if pivot[col] < 0:
                 pivot = [-u for u in pivot]
             for b in basis:
@@ -329,9 +331,8 @@ def nonsingular_subsets(rows) -> tuple[tuple[IntVec, IntMatrix, int, IntVec, Int
     all its extensions. A node of j rows keeps delta = h_1 ... h_j, vectors
     S_1..S_j with prefix @ S_i = delta e_i, and a basis of the prefix's
     kernel that completes the pivot columns to a determinant-one matrix.
-    A child with row a folds the entries a . k over that basis into one
-    pivot column u with xgcd column operations, as ``hermite_basis`` folds
-    rows, so that a . u = h and a vanishes on the other basis vectors. h = 0
+    A child with row a runs ``_fold`` over that basis with the weights
+    a . k, so that a . u = h and a vanishes on the other basis vectors. h = 0
     means that a lies in the prefix's span: it prunes the subtree, in which
     every matrix is singular, and a is spanned for every subset that
     extends the prefix by a later row. Otherwise the child keeps delta h,
@@ -362,19 +363,7 @@ def nonsingular_subsets(rows) -> tuple[tuple[IntVec, IntMatrix, int, IntVec, Int
         children = []
         for t in range(start, stop):
             a = rows[t]
-            w = [sum(map(mul, a, b)) for b in kernel]
-            h, u = w[0], kernel[0]
-            rest = kernel[1:]
-            for k in range(1, len(w)):
-                if w[k]:
-                    # [[x, -wk/g], [y, h/g]] has determinant (x*h + y*wk)/g = 1.
-                    g, x, y = xgcd(h, w[k])
-                    hg, kg, b = h // g, w[k] // g, rest[k - 1]
-                    u, rest[k - 1] = (
-                        [x * p + y * q for p, q in zip(u, b)],
-                        [hg * q - kg * p for p, q in zip(u, b)],
-                    )
-                    h = g
+            h, u, rest = _fold([sum(map(mul, a, b)) for b in kernel], kernel)
             if not h:
                 # Row t is in the prefix's span: in that of the smaller
                 # members of every subset that extends the prefix past t.

@@ -260,11 +260,13 @@ def _initial_cube(d: int) -> _Cell:
 
 def _check_sheet_cap(arr: Arrangement, max_sheets: int | None) -> None:
     """Raise unless the arrangement lifts to at most the cap's number of
-    sheets; the sheets are counted, not lifted."""
+    sheets; the sheets are counted, not lifted: with its offset in [0, 1), a
+    subtorus lifts to ||a||_1 = hi - lo sheets of ``_sheet_range``, one more
+    at offset 0."""
     cap = DEFAULT_MAX_SHEETS if max_sheets is None else max_sheets
     if cap < 0:
         raise InvalidParams(f"the sheet cap must be non-negative, got {cap}")
-    total = sum(len(_sheet_range(t)) for t in arr.tori)
+    total = sum(sum(map(abs, t.normal)) + (not t.offset) for t in arr.tori)
     if total > cap:
         raise ResourceCapError(
             f"arrangement lifts to {total} hyperplane sheets, exceeding the cap of "

@@ -108,7 +108,7 @@ class FeasibleSet:
 
 def feasible_set(d: int, n: int) -> FeasibleSet:
     """The symbolic set of achievable counts for n subtori in T^d."""
-    if not isinstance(d, int) or not isinstance(n, int) or d < 1 or n < 1:
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (d, n)) or d < 1 or n < 1:
         raise InvalidParams(f"need integers d >= 1 and n >= 1, got d={d!r}, n={n!r}")
     if n == 1:
         return FeasibleSet(d, n, KIND_SINGLETON_1)
@@ -289,7 +289,7 @@ def construct_for(d: int, n: int, f_target: int, max_sheets: int | None = None) 
     f_target, and ResourceCapError when the result lifts to more sheets
     than the cap.
     """
-    if not isinstance(f_target, int):
+    if isinstance(f_target, bool) or not isinstance(f_target, int):
         raise InvalidParams(f"target count must be an integer, got {f_target!r}")
     fset = feasible_set(d, n)
     if not fset.contains(f_target):

@@ -138,10 +138,14 @@ class TestCompleteToUnimodular:
             complete_to_unimodular((2, 4))
 
     def test_trailing_unit(self):
-        a = (0, 0, -1)
-        m = complete_to_unimodular(a)
-        assert covector_times_matrix(a, m) == (1, 0, 0)
-        assert det_int(m) == 1
+        # Every signed unit vector, including a lone -1 in position 0.
+        for d in range(2, 6):
+            for i in range(d):
+                for s in (1, -1):
+                    a = tuple(s * (j == i) for j in range(d))
+                    m = complete_to_unimodular(a)
+                    assert covector_times_matrix(a, m) == (1,) + (0,) * (d - 1)
+                    assert det_int(m) == 1
 
     def test_dimension_one(self):
         assert complete_to_unimodular((1,)) == ((1,),)

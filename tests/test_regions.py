@@ -94,6 +94,11 @@ class TestLiftHyperplanes:
         start = math.floor(lo - s.offset)
         expected = [k for k in range(start, start + hi - lo + 2) if lo <= s.offset + k <= hi]
         assert lift_hyperplanes(s, len(a)) == [(s.normal, s.offset + k) for k in expected]
+        # The cap check counts the same sheets in closed form.
+        arr = Arrangement(len(a), (s,))
+        regions._check_sheet_cap(arr, len(expected))
+        with pytest.raises(ResourceCapError):
+            regions._check_sheet_cap(arr, len(expected) - 1)
 
 
 class TestBuildCells:

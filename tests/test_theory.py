@@ -61,6 +61,13 @@ class TestFeasibleSet:
             feasible_set(0, 3)
         with pytest.raises(InvalidParams):
             feasible_set(2, 0)
+        # A bool is not a dimension, a subtorus count or a region count.
+        for bad in ((True, 2), (2, True)):
+            with pytest.raises(InvalidParams):
+                feasible_set(*bad)
+        for bad in ((True, 2, 2), (2, True, 1), (2, 1, True)):
+            with pytest.raises(InvalidParams):
+                construct_for(*bad)
 
     def test_min_value_and_gap_boundaries(self):
         for d in range(2, 6):
