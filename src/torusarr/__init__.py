@@ -22,7 +22,6 @@ from .arrangement import (
     subtorus_from_equation,
     transform,
     translate,
-    validate,
 )
 from .errors import (
     BadOffsets,
@@ -123,5 +122,4 @@ __all__ = [
     "subtorus_from_equation",
     "transform",
     "translate",
-    "validate",
 ]

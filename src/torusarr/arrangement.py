@@ -5,6 +5,8 @@ sum(a_i x_i) = c under the quotient map R^d -> R^d / Z^d. Clearing
 denominators, dividing by the gcd, fixing the sign of the first nonzero
 coefficient and reducing c mod 1 puts every such hyperplane in a unique
 normal form, so equality of subtori is equality of (normal, offset) pairs.
+An Arrangement checks its subtori once, at construction, so every value of
+the type holds distinct subtori of its dimension and no consumer checks again.
 
 The module also implements the ``.tarr`` text format, the action of
 determinant-one integer basis changes on arrangements, and the size of the
@@ -28,7 +30,7 @@ from .errors import (
     ParseError,
     ZeroNormal,
 )
-from .lattice import IntVec, as_intvec, covector_times_matrix, det_int, gcd_vec
+from .lattice import IntVec, as_intvec, covector_times_matrix, det_int
 
 
 def _as_fraction(x) -> Fraction:
@@ -52,7 +54,7 @@ class Subtorus:
     def __post_init__(self):
         vec = as_intvec(self.normal)
         object.__setattr__(self, "normal", vec)
-        if gcd_vec(vec) != 1:
+        if math.gcd(*vec) != 1:
             raise NonPrimitive(f"normal {vec} is not primitive")
         first = next(x for x in vec if x != 0)
         if first < 0:
@@ -69,15 +71,32 @@ class Subtorus:
 
 @dataclass(frozen=True)
 class Arrangement:
-    """A finite ordered set of distinct subtori in T^dim."""
+    """A finite ordered set of distinct subtori in T^dim. Construction raises
+    InvalidInput unless dim is a positive int (not a bool), then
+    DimensionMismatch or DuplicateSubtorus at the first invalid subtorus."""
 
     dim: int
     tori: tuple[Subtorus, ...]
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
             raise InvalidInput(f"dimension must be a positive integer, got {self.dim!r}")
         object.__setattr__(self, "tori", tuple(self.tori))
+        seen: dict[tuple[IntVec, Fraction], int] = {}
+        for idx, torus in enumerate(self.tori):
+            if torus.dim != self.dim:
+                raise DimensionMismatch(
+                    f"subtorus {idx + 1} has dimension {torus.dim}, arrangement has {self.dim}"
+                )
+            key = (torus.normal, torus.offset)
+            if key in seen:
+                raise DuplicateSubtorus(
+                    f"subtori {seen[key] + 1} and {idx + 1} are identical: "
+                    f"normal {torus.normal}, offset {torus.offset}",
+                    first=seen[key],
+                    second=idx,
+                )
+            seen[key] = idx
 
     @property
     def n(self) -> int:
@@ -109,28 +128,8 @@ def subtorus_from_equation(coeffs, c) -> Subtorus:
     return Subtorus(tuple(normal), rhs % 1)
 
 
-def validate(arr: Arrangement) -> None:
-    """Check all arrangement invariants; raise on the first violation."""
-    seen: dict[tuple[IntVec, Fraction], int] = {}
-    for idx, torus in enumerate(arr.tori):
-        if torus.dim != arr.dim:
-            raise DimensionMismatch(
-                f"subtorus {idx + 1} has dimension {torus.dim}, arrangement has {arr.dim}"
-            )
-        key = (torus.normal, torus.offset)
-        if key in seen:
-            raise DuplicateSubtorus(
-                f"subtori {seen[key] + 1} and {idx + 1} are identical: "
-                f"normal {torus.normal}, offset {torus.offset}",
-                first=seen[key],
-                second=idx,
-            )
-        seen[key] = idx
-
-
 def max_parallel_count(arr: Arrangement) -> int:
     """Size of the largest class of subtori sharing one normal; 0 when empty."""
-    validate(arr)
     counts: dict[IntVec, int] = {}
     for torus in arr.tori:
         counts[torus.normal] = counts.get(torus.normal, 0) + 1
@@ -202,7 +201,7 @@ def _parse_rational(token: str, lineno: int) -> Fraction:
 
 
 def parse_tarr(text: str) -> Arrangement:
-    """Parse .tarr text into a validated Arrangement."""
+    """Parse .tarr text into an Arrangement."""
     dim: int | None = None
     tori: list[Subtorus] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -239,9 +238,7 @@ def parse_tarr(text: str) -> Arrangement:
             raise ParseError(f"line {lineno}: all coefficients are zero") from None
     if dim is None:
         raise ParseError("missing 'dim <d>' header line")
-    arr = Arrangement(dim, tuple(tori))
-    validate(arr)
-    return arr
+    return Arrangement(dim, tuple(tori))
 
 
 def format_tarr(arr: Arrangement, header: str | None = None) -> str:

@@ -90,7 +90,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .arrangement import Arrangement, Subtorus, validate
+from .arrangement import Arrangement, Subtorus
 from .errors import DimensionMismatch, InvalidParams, ResourceCapError
 from .feasibility import LinConstraint
 from .lattice import IntVec, hermite_basis, nonsingular_subsets, reduce_mod_lattice
@@ -289,7 +289,6 @@ def _collect_sheets(arr: Arrangement, max_sheets: int | None):
 
 
 def _build(arr: Arrangement, max_sheets: int | None):
-    validate(arr)
     d = arr.dim
     sheets, runs = _collect_sheets(arr, max_sheets)
     cells = [_initial_cube(d)]
@@ -406,7 +405,6 @@ def count_regions(arr: Arrangement, max_sheets: int | None = None) -> int:
     arrangement's intersection points, with no cells (see the module
     docstring).
     """
-    validate(arr)
     _check_sheet_cap(arr, max_sheets)
     if not arr.tori:
         return 1

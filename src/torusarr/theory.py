@@ -45,6 +45,11 @@ KIND_ALL_NATURALS = "all_naturals"
 KIND_INTERVAL_PLUS_RAY = "interval_plus_ray"
 
 
+def _is_int(x) -> bool:
+    # A bool is an int to Python, but not a dimension, count or parameter.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class FeasibleSet:
     """Symbolic description of the achievable region counts for (d, n)."""
@@ -56,7 +61,7 @@ class FeasibleSet:
     ray_start: int | None = None
 
     def contains(self, l: int) -> bool:
-        if not isinstance(l, int) or l < 1:
+        if not _is_int(l) or l < 1:
             return False
         if self.kind == KIND_SINGLETON_1:
             return l == 1
@@ -108,7 +113,7 @@ class FeasibleSet:
 
 def feasible_set(d: int, n: int) -> FeasibleSet:
     """The symbolic set of achievable counts for n subtori in T^d."""
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in (d, n)) or d < 1 or n < 1:
+    if not (_is_int(d) and _is_int(n)) or d < 1 or n < 1:
         raise InvalidParams(f"need integers d >= 1 and n >= 1, got d={d!r}, n={n!r}")
     if n == 1:
         return FeasibleSet(d, n, KIND_SINGLETON_1)
@@ -230,7 +235,7 @@ def construct_family_parallel(d: int, n: int, k: int) -> Arrangement:
     The complement deformation-retracts onto a circle with n-k punctures
     crossed with lower tori, so the region count is exactly n-k.
     """
-    if not (isinstance(d, int) and isinstance(n, int) and isinstance(k, int)):
+    if not (_is_int(d) and _is_int(n) and _is_int(k)):
         raise ParamOutOfRange("parameters must be integers")
     if d < 1 or not 0 <= k <= d - 1 or n < k + 1:
         raise ParamOutOfRange(
@@ -254,7 +259,7 @@ def construct_family_sheared(d: int, n: int, k: int) -> Arrangement:
     ever failed. The combination n = d, k = 0 is rejected: it degenerates
     to two disjoint parallel subtori (count 2, not 0).
     """
-    if not (isinstance(d, int) and isinstance(n, int) and isinstance(k, int)):
+    if not (_is_int(d) and _is_int(n) and _is_int(k)):
         raise ParamOutOfRange("parameters must be integers")
     if d < 2 or n < d or k < 0:
         raise ParamOutOfRange(f"need d >= 2, n >= d and k >= 0, got d={d}, n={n}, k={k}")
@@ -289,7 +294,7 @@ def construct_for(d: int, n: int, f_target: int, max_sheets: int | None = None) 
     f_target, and ResourceCapError when the result lifts to more sheets
     than the cap.
     """
-    if isinstance(f_target, bool) or not isinstance(f_target, int):
+    if not _is_int(f_target):
         raise InvalidParams(f"target count must be an integer, got {f_target!r}")
     fset = feasible_set(d, n)
     if not fset.contains(f_target):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -16,7 +17,6 @@ from torusarr.arrangement import (
     subtorus_from_equation,
     transform,
     translate,
-    validate,
 )
 from torusarr.errors import (
     DimensionMismatch,
@@ -153,25 +153,63 @@ class TestRandomArrangement:
 
 
 class TestValidate:
+    # An Arrangement checks itself at construction, so no value of the type
+    # holds a duplicate or a subtorus of another dimension.
+
     def test_duplicates_rejected(self):
-        arr = Arrangement(2, (Subtorus((1, 0), Fraction(0)), Subtorus((1, 0), Fraction(0))))
-        with pytest.raises(DuplicateSubtorus):
-            validate(arr)
+        a = Subtorus((1, 0), Fraction(0))
+        with pytest.raises(
+            DuplicateSubtorus, match=r"^subtori 1 and 2 are identical: normal \(1, 0\), offset 0$"
+        ) as info:
+            Arrangement(2, (a, Subtorus((1, 0), Fraction(0))))
+        assert (info.value.first, info.value.second) == (0, 1)
+
+    def test_first_duplicate_reported(self):
+        a, b, c = (Subtorus((1, 0), Fraction(k, 3)) for k in range(3))
+        with pytest.raises(DuplicateSubtorus, match=r"^subtori 2 and 4 ") as info:
+            Arrangement(2, [a, b, c, b, a])
+        assert (info.value.first, info.value.second) == (1, 3)
 
     def test_normalized_distinct_pair_ok(self):
         # x1 = 0 and 2 x1 = 1 normalize to the same normal, different offsets
         a = subtorus_from_equation((1, 0), 0)
         b = subtorus_from_equation((2, 0), 1)
         assert b.normal == (1, 0) and b.offset == Fraction(1, 2)
-        validate(Arrangement(2, (a, b)))
+        assert Arrangement(2, [a, b]).tori == (a, b)
 
     def test_empty_ok(self):
-        validate(Arrangement(3, ()))
+        assert Arrangement(3, ()).tori == ()
 
     def test_dimension_mismatch(self):
-        arr = Arrangement(3, (Subtorus((1, 0), Fraction(0)),))
+        with pytest.raises(
+            DimensionMismatch, match=r"^subtorus 1 has dimension 2, arrangement has 3$"
+        ):
+            Arrangement(3, (Subtorus((1, 0), Fraction(0)),))
+
+    def test_first_violation_in_subtorus_order(self):
+        a, b = Subtorus((1, 0), Fraction(0)), Subtorus((1, 0, 0), Fraction(0))
+        with pytest.raises(DuplicateSubtorus, match=r"^subtori 1 and 2 "):
+            Arrangement(2, (a, a, b))
+        with pytest.raises(DimensionMismatch, match=r"^subtorus 2 "):
+            Arrangement(2, (a, b, a))
+
+    def test_dim_must_be_a_positive_int(self):
+        for dim in (True, False, 0, -1, 2.0, "2"):
+            with pytest.raises(
+                InvalidInput, match=rf"^dimension must be a positive integer, got {dim!r}$"
+            ):
+                Arrangement(dim, ())
+
+    def test_replace_revalidates(self):
+        a = Subtorus((1, 0), Fraction(0))
+        arr = Arrangement(2, (a, Subtorus((0, 1), Fraction(0))))
+        with pytest.raises(DuplicateSubtorus) as info:
+            dataclasses.replace(arr, tori=(a, a))
+        assert (info.value.first, info.value.second) == (0, 1)
         with pytest.raises(DimensionMismatch):
-            validate(arr)
+            dataclasses.replace(arr, dim=3)
+        with pytest.raises(InvalidInput):
+            dataclasses.replace(arr, dim=True)
 
 
 class TestMaxParallelCount:

@@ -253,16 +253,17 @@ class TestCountRegions:
             assert count_regions(arr) == 1
 
     def test_duplicate_rejected(self):
-        arr = Arrangement(2, (Subtorus((1, 0), F(0)), Subtorus((1, 0), F(0))))
-        with pytest.raises(DuplicateSubtorus):
-            count_regions(arr)
+        # An invalid arrangement cannot be built, so it never reaches a count.
+        with pytest.raises(DuplicateSubtorus, match=r"^subtori 1 and 2 are identical"):
+            Arrangement(2, (Subtorus((1, 0), F(0)), Subtorus((1, 0), F(0))))
 
     def test_validation_before_the_sheet_cap(self):
-        arr = Arrangement(2, (Subtorus((3, -2), F(1, 2)), Subtorus((3, -2), F(1, 2))))
-        with pytest.raises(DuplicateSubtorus):
-            count_regions(arr, max_sheets=1)
-        with pytest.raises(DimensionMismatch):
-            count_regions(Arrangement(3, (Subtorus((1, 0), F(0)),)), max_sheets=-1)
+        # The checks run when the arrangement is built, so they precede the
+        # sheet cap of any count, whatever cap the count is given.
+        with pytest.raises(DuplicateSubtorus, match=r"^subtori 1 and 2 are identical"):
+            Arrangement(2, (Subtorus((3, -2), F(1, 2)), Subtorus((3, -2), F(1, 2))))
+        with pytest.raises(DimensionMismatch, match=r"^subtorus 1 has dimension 2"):
+            Arrangement(3, (Subtorus((1, 0), F(0)),))
 
     def test_matches_independent_euler_oracle(self):
         rng = random.Random(36)
@@ -339,15 +340,16 @@ class TestVertexSum:
         assert count_regions(arr) == build_cells(arr, glue=True).region_count == 2
 
     def test_parallel_subtori_of_an_active_class_hit_different_points(self):
-        # x = 0 and x = 1/2 come first, so their class is active for the
-        # basis x + y = 0, x - y = 0, whose two points (0, 0) and
-        # (1/2, 1/2) each lie on one of them.
+        # In the orders where x = 0 and x = 1/2 follow x + y = 0 and
+        # x - y = 0, their class is active for that basis, whose two points
+        # (0, 0) and (1/2, 1/2) each lie on one of them.
         tori = [((1, 0), 0), ((1, 0), F(1, 2)), ((1, 1), 0), ((1, -1), 0)]
         _assert_count_in_every_order(tori, 4)
 
     def test_several_choices_of_subtori_for_one_basis(self):
-        # The basis x, y has four choices of one subtorus each; x + y = 0
-        # and x + y = 1/2 come first and cover (0, 0) and (1/2, 0) of them.
+        # The basis x, y has four choices of one subtorus each; in the orders
+        # where x + y = 0 and x + y = 1/2 follow both, they cover (0, 0) and
+        # (1/2, 0) of them.
         tori = [
             ((1, 1), 0), ((1, 1), F(1, 2)), ((1, 0), 0), ((1, 0), F(1, 2)),
             ((0, 1), 0), ((0, 1), F(1, 3)),

@@ -68,6 +68,8 @@ class TestFeasibleSet:
         for bad in ((True, 2, 2), (2, True, 1), (2, 1, True)):
             with pytest.raises(InvalidParams):
                 construct_for(*bad)
+        assert not feasible_contains(2, 1, True)
+        assert not feasible_set(2, 5).contains(True)
 
     def test_min_value_and_gap_boundaries(self):
         for d in range(2, 6):
@@ -163,6 +165,9 @@ class TestConstructFamilyParallel:
             construct_family_parallel(3, 2, 2)
         with pytest.raises(ParamOutOfRange):
             construct_family_parallel(0, 1, 0)
+        for bad in ((True, 1, 0), (2, True, 0), (2, 1, False)):
+            with pytest.raises(ParamOutOfRange, match="^parameters must be integers$"):
+                construct_family_parallel(*bad)
 
 
 class TestConstructFamilySheared:
@@ -178,6 +183,9 @@ class TestConstructFamilySheared:
             construct_family_sheared(3, 2, 1)
         with pytest.raises(ParamOutOfRange):
             construct_family_sheared(2, 2, -1)
+        for bad in ((True, 2, 1), (2, True, 1), (2, 2, True)):
+            with pytest.raises(ParamOutOfRange, match="^parameters must be integers$"):
+                construct_family_sheared(*bad)
 
     def test_degenerate_combination_rejected(self):
         with pytest.raises(ParamOutOfRange):
