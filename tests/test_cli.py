@@ -22,6 +22,21 @@ def family_a(tmp_path):
     return str(path)
 
 
+REPORT_FAMILY_A = (
+    "n = 5, d = 3, f = 3, m = 3\n"
+    "parallel-class bound m(n-m-d+2) = 3: satisfied\n"
+    "dichotomy (f >= 2n-2d, or f <= n with m >= n-d+1): satisfied\n"
+    "membership: 3 in F(T^3,5) = {l >= 3}\n"
+)
+
+VERDICTS_FAMILY_A = (
+    '"verdicts": {"d": 3, "n": 5, "f": 3, "m": 3, "parallel_bound": 3, '
+    '"parallel_ok": true, "dichotomy_applicable": true, "dichotomy_ok": true, '
+    '"membership_ok": true, "set": {"kind": "interval_plus_ray", "interval": [3, 5], '
+    '"ray_start": 4}}}\n'
+)
+
+
 class TestCount:
     def test_text(self, family_a, capsys):
         assert main(["count", family_a]) == 0
@@ -36,6 +51,15 @@ class TestCount:
         for line in witness_lines:
             parts = line.removeprefix("witness: ").split()
             assert len(parts) == 3 and all("/" in p for p in parts)
+
+    def test_witnesses_text_exact(self, family_a, capsys):
+        assert main(["count", family_a, "--witnesses"]) == 0
+        assert capsys.readouterr().out == (
+            "f = 3\n"
+            "witness: 1/2 1/2 1/8\n"
+            "witness: 1/2 1/2 3/8\n"
+            "witness: 1/2 1/2 5/8\n"
+        )
 
     def test_witnesses_build_the_complex_once(self, family_a, capsys, monkeypatch):
         calls = []
@@ -137,6 +161,14 @@ class TestFeasible:
         }
         assert payload["verdicts"] == {"l": 9, "member": False}
 
+    def test_quiet_json_prints_and_keeps_exit_code(self, capsys):
+        assert main(["feasible", "2", "6", "--test", "7", "--quiet", "--json"]) == 2
+        assert capsys.readouterr() == (
+            '{"command": "feasible", "d": 2, "n": 6, "set": {"kind": "interval_plus_ray", '
+            '"interval": [5, 6], "ray_start": 8}, "verdicts": {"l": 7, "member": false}}\n',
+            "",
+        )
+
     def test_invalid_params(self, capsys):
         assert main(["feasible", "0", "3"]) == 1
 
@@ -156,6 +188,18 @@ class TestConstruct:
         capsys.readouterr()
         assert main(["count", out]) == 0
         assert capsys.readouterr().out == "f = 11\n"
+
+    def test_output_file_notes(self, tmp_path, capsys):
+        out = str(tmp_path / "made.tarr")
+        assert main(["construct", "3", "8", "11", "-o", out]) == 0
+        assert capsys.readouterr() == ("", f"wrote {out}\n")
+        assert main(["construct", "3", "8", "11", "-o", out, "--json"]) == 0
+        assert capsys.readouterr() == (
+            '{"command": "construct", "d": 3, "n": 8, "f": 11, "path": '
+            + json.dumps(out)
+            + "}\n",
+            "",
+        )
 
     def test_json_embeds_tarr(self, tmp_path, capsys):
         assert main(["construct", "3", "5", "3", "--json"]) == 0
@@ -202,6 +246,16 @@ class TestVerify:
         assert payload["verdicts"]["membership_ok"] is True
 
 
+    def test_exact_output(self, family_a, capsys):
+        assert main(["verify", family_a]) == 0
+        assert capsys.readouterr() == (REPORT_FAMILY_A + "verdict: OK\n", "")
+        assert main(["verify", family_a, "--json"]) == 0
+        assert capsys.readouterr() == (
+            '{"command": "verify", "d": 3, "n": 5, "f": 3, "m": 3, ' + VERDICTS_FAMILY_A,
+            "",
+        )
+
+
 class TestBounds:
     def test_with_given_f(self, family_a, capsys):
         assert main(["bounds", family_a, "--f", "3"]) == 0
@@ -222,6 +276,30 @@ class TestBounds:
         payload = json.loads(capsys.readouterr().out)
         assert payload["command"] == "bounds"
         assert payload["verdicts"]["dichotomy_ok"] is True
+
+
+    @pytest.mark.parametrize("given_f", [[], ["--f", "3"]])
+    def test_exact_output(self, family_a, capsys, given_f):
+        assert main(["bounds", family_a, *given_f]) == 0
+        assert capsys.readouterr() == (REPORT_FAMILY_A, "")
+        assert main(["bounds", family_a, *given_f, "--json"]) == 0
+        assert capsys.readouterr() == (
+            '{"command": "bounds", "d": 3, "n": 5, "f": 3, "m": 3, ' + VERDICTS_FAMILY_A,
+            "",
+        )
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_violation_report_on_stderr(self, family_a, capsys, json_flag):
+        assert main(["bounds", family_a, "--f", "2", *json_flag]) == 4
+        assert capsys.readouterr() == (
+            "",
+            "error: counted arrangement violates proven bounds: f=2 < parallel bound 3 "
+            "(m=3); f=2 outside achievable set {l >= 3}\n"
+            "n = 5, d = 3, f = 2, m = 3\n"
+            "parallel-class bound m(n-m-d+2) = 3: VIOLATED\n"
+            "dichotomy (f >= 2n-2d, or f <= n with m >= n-d+1): satisfied\n"
+            "membership: 2 NOT IN F(T^3,5) = {l >= 3}\n",
+        )
 
 
 class TestParsing:
