@@ -1,11 +1,14 @@
 """Command-line interface.
 
 Subcommands: count, intersect, feasible, construct, verify, bounds.
-Results go to stdout, diagnostics to stderr. Exit codes: 0 success,
-1 parse or validation error, 2 unachievable count requested, 3 resource
-cap exceeded, 4 violated bound (counter bug). Every subcommand accepts
-``--json`` for a stable machine-readable schema in which all rationals are
-exact "p/q" strings.
+Each ``_cmd_*`` function returns ``(payload, lines, exit_code)`` and prints
+nothing; ``main`` prints the payload as one JSON object under ``--json`` and
+the lines otherwise, so results have one path to stdout. Every subcommand
+accepts ``--json``, a stable machine-readable schema in which all rationals
+are exact "p/q" strings. Diagnostics go to stderr: errors, the bound report
+of a violation, and ``construct -o``'s ``wrote FILE`` note in text mode.
+Exit codes: 0 success, 1 parse or validation error, 2 unachievable count
+requested, 3 resource cap exceeded, 4 violated bound (counter bug).
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ EXIT_THEOREM_VIOLATION = 4
 
 ENV_MAX_SHEETS = "TORUSARR_MAX_SHEETS"
 
+_Output = tuple[dict, list[str], int]  # (JSON payload, text lines, exit code)
+
 
 class _UsageError(Exception):
     pass
@@ -62,10 +67,6 @@ def _max_sheets(args) -> int | None:
     return None
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, ensure_ascii=False))
-
-
 def _load(path: str) -> Arrangement:
     try:
         return load_tarr(path)
@@ -73,29 +74,23 @@ def _load(path: str) -> Arrangement:
         raise _UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> _Output:
     arr = _load(args.file)
     cap = _max_sheets(args)
     if args.witnesses:
-        witnesses = region_witnesses(arr, max_sheets=cap)
+        witnesses = [[_frac_str(x) for x in w] for w in region_witnesses(arr, max_sheets=cap)]
         f = len(witnesses)
     else:
-        witnesses = None
-        f = count_regions(arr, max_sheets=cap)
-    if args.json:
-        payload = {"command": "count", "d": arr.dim, "n": arr.n, "f": f}
-        if witnesses is not None:
-            payload["witnesses"] = [[_frac_str(x) for x in w] for w in witnesses]
-        _emit_json(payload)
-    else:
-        print(f"f = {f}")
-        if witnesses is not None:
-            for w in witnesses:
-                print("witness: " + " ".join(_frac_str(x) for x in w))
-    return EXIT_OK
+        witnesses, f = None, count_regions(arr, max_sheets=cap)
+    payload = {"command": "count", "d": arr.dim, "n": arr.n, "f": f}
+    lines = [f"f = {f}"]
+    if witnesses is not None:
+        payload["witnesses"] = witnesses
+        lines += ["witness: " + " ".join(w) for w in witnesses]
+    return payload, lines, EXIT_OK
 
 
-def _cmd_intersect(args) -> int:
+def _cmd_intersect(args) -> _Output:
     arr = _load(args.file)
     i, j = args.pair
     if not (1 <= i <= arr.n and 1 <= j <= arr.n):
@@ -103,70 +98,37 @@ def _cmd_intersect(args) -> int:
     if i == j:
         raise _UsageError("--pair needs two different subtorus indices")
     count = components_pair(arr.tori[i - 1].normal, arr.tori[j - 1].normal)
-    if args.json:
-        _emit_json(
-            {"command": "intersect", "d": arr.dim, "n": arr.n, "pair": [i, j], "f": count}
-        )
-    else:
-        print(f"components = {count}")
-    return EXIT_OK
+    payload = {"command": "intersect", "d": arr.dim, "n": arr.n, "pair": [i, j], "f": count}
+    return payload, [f"components = {count}"], EXIT_OK
 
 
-def _cmd_feasible(args) -> int:
+def _cmd_feasible(args) -> _Output:
     fset = feasible_set(args.d, args.n)
-    if args.test is None:
-        if args.json:
-            _emit_json(
-                {"command": "feasible", "d": args.d, "n": args.n, "set": fset.to_json()}
-            )
-        elif not args.quiet:
-            print(f"F(T^{args.d},{args.n}) = {fset}")
-        return EXIT_OK
-    member = fset.contains(args.test)
-    if args.json:
-        _emit_json(
-            {
-                "command": "feasible",
-                "d": args.d,
-                "n": args.n,
-                "set": fset.to_json(),
-                "verdicts": {"l": args.test, "member": member},
-            }
-        )
-    elif not args.quiet:
+    payload = {"command": "feasible", "d": args.d, "n": args.n, "set": fset.to_json()}
+    lines = [f"F(T^{args.d},{args.n}) = {fset}"]
+    code = EXIT_OK
+    if args.test is not None:
+        member = fset.contains(args.test)
+        payload["verdicts"] = {"l": args.test, "member": member}
         rel = "in" if member else "not in"
-        print(f"{args.test} {rel} F(T^{args.d},{args.n})")
-    if args.quiet:
-        return EXIT_OK if member else EXIT_NOT_FEASIBLE
-    return EXIT_OK
+        lines = [f"{args.test} {rel} F(T^{args.d},{args.n})"]
+        if args.quiet and not member:
+            code = EXIT_NOT_FEASIBLE
+    return payload, ([] if args.quiet else lines), code
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> _Output:
     arr = construct_for(args.d, args.n, args.f, max_sheets=_max_sheets(args))
     header = f"constructed: d={args.d} n={args.n} f={args.f} (verified)"
+    payload = {"command": "construct", "d": args.d, "n": args.n, "f": args.f}
     if args.output:
         save_tarr(arr, args.output, header=header)
-        if args.json:
-            _emit_json(
-                {
-                    "command": "construct",
-                    "d": args.d,
-                    "n": args.n,
-                    "f": args.f,
-                    "path": args.output,
-                }
-            )
-        else:
+        payload["path"] = args.output
+        if not args.json:
             print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        text = format_tarr(arr, header=header)
-        if args.json:
-            _emit_json(
-                {"command": "construct", "d": args.d, "n": args.n, "f": args.f, "tarr": text}
-            )
-        else:
-            sys.stdout.write(text)
-    return EXIT_OK
+        return payload, [], EXIT_OK
+    payload["tarr"] = format_tarr(arr, header=header)
+    return payload, payload["tarr"].splitlines(), EXIT_OK
 
 
 def _report_lines(report) -> list[str]:
@@ -195,36 +157,30 @@ def _report_lines(report) -> list[str]:
     return lines
 
 
-def _emit_report(args, arr: Arrangement, f: int, footer: tuple[str, ...] = ()) -> int:
-    """Check every bound for f regions and report it, as JSON or as lines."""
+def _report(args, arr: Arrangement, f: int, footer: tuple[str, ...] = ()) -> _Output:
+    """Check every bound for f regions and return the report's payload and lines."""
     report = check_bounds(arr, f)
-    if args.json:
-        _emit_json(
-            {
-                "command": args.command,
-                "d": arr.dim,
-                "n": arr.n,
-                "f": f,
-                "m": report.m,
-                "verdicts": report.to_json(),
-            }
-        )
-    else:
-        for line in _report_lines(report) + list(footer):
-            print(line)
-    return EXIT_OK
+    payload = {
+        "command": args.command,
+        "d": arr.dim,
+        "n": arr.n,
+        "f": f,
+        "m": report.m,
+        "verdicts": report.to_json(),
+    }
+    return payload, _report_lines(report) + list(footer), EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Output:
     arr = _load(args.file)
     f = count_regions(arr, max_sheets=_max_sheets(args))
-    return _emit_report(args, arr, f, ("verdict: OK",))
+    return _report(args, arr, f, ("verdict: OK",))
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> _Output:
     arr = _load(args.file)
     f = args.f if args.f is not None else count_regions(arr, max_sheets=_max_sheets(args))
-    return _emit_report(args, arr, f)
+    return _report(args, arr, f)
 
 
 def _build_parser() -> _Parser:
@@ -290,7 +246,7 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        payload, lines, code = args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ERROR
@@ -309,6 +265,12 @@ def main(argv=None) -> int:
     except TorusArrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if args.json:
+        print(json.dumps(payload, ensure_ascii=False))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":
