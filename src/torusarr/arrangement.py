@@ -36,6 +36,8 @@ from .lattice import IntVec, as_intvec, covector_times_matrix, det_int
 def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise InvalidInput(f"floating point value {x!r} rejected; use Fraction or str")
+    if isinstance(x, bool):  # an int to Python, but not a coordinate or offset
+        raise InvalidInput(f"bool value {x!r} rejected; use Fraction, int or str")
     return Fraction(x)
 
 

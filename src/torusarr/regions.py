@@ -223,14 +223,8 @@ def _split_cell(cell: _Cell, vals, bit: int, d: int) -> list[_Cell]:
                 continue
             if sum(1 for tu in cell.tight if tu & common == common) > 2:
                 continue
-            alpha, beta = v[1], w[1]
-            t_num = sv * beta
-            b_num = t_num - sw * alpha
-            nums = [
-                (b_num - t_num) * beta * nv + t_num * alpha * nw
-                for nv, nw in zip(v[0], w[0])
-            ]
-            crosses.append(_mk_point(nums, b_num * alpha * beta))
+            nums = [sv * nw - sw * nv for nv, nw in zip(v[0], w[0])]
+            crosses.append(_mk_point(nums, sv * w[1] - sw * v[1]))
             cross_tight.append(common | bit)
     children = []
     for sign in (-1, 1):

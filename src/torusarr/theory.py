@@ -229,6 +229,11 @@ def _axis(d: int, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(d))
 
 
+def _sheared(d: int, k: int) -> Subtorus:
+    """The subtorus x_2 = k x_1 + 1/2 in T^d."""
+    return subtorus_from_equation((-k, 1) + (0,) * (d - 2), Fraction(1, 2))
+
+
 def construct_family_parallel(d: int, n: int, k: int) -> Arrangement:
     """k coordinate subtori x_i = 0 plus n-k parallel translates of x_{k+1}.
 
@@ -269,10 +274,7 @@ def construct_family_sheared(d: int, n: int, k: int) -> Arrangement:
             "the predicted count 2n-2d+k = 0 is not a region count"
         )
     tori = [Subtorus(_axis(d, i), Fraction(0)) for i in range(1, d)]
-    sheared = [0] * d
-    sheared[0] = -k
-    sheared[1] = 1
-    tori.append(subtorus_from_equation(sheared, Fraction(1, 2)))
+    tori.append(_sheared(d, k))
     denom = 2 * (n - d) + 1
     for j in range(1, n - d + 1):
         c = Fraction(j, denom)
@@ -308,13 +310,7 @@ def construct_for(d: int, n: int, f_target: int, max_sheets: int | None = None) 
     elif d == 1:
         arr = construct_family_parallel(1, n, 0)
     elif n <= d:
-        sheared = [0] * d
-        sheared[0] = -f_target
-        sheared[1] = 1
-        tori = [
-            Subtorus(_axis(d, 1), Fraction(0)),
-            subtorus_from_equation(sheared, Fraction(1, 2)),
-        ]
+        tori = [Subtorus(_axis(d, 1), Fraction(0)), _sheared(d, f_target)]
         tori.extend(Subtorus(_axis(d, i), Fraction(0)) for i in range(2, n))
         arr = Arrangement(d, tuple(tori))
     elif f_target <= n:

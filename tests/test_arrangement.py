@@ -28,6 +28,7 @@ from torusarr.errors import (
     TorusArrError,
     ZeroNormal,
 )
+from torusarr.feasibility import LinConstraint
 from torusarr.lattice import matmul_int
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -70,6 +71,22 @@ class TestSubtorus:
     def test_valid_construction(self):
         s = Subtorus((0, 1), Fraction(1, 3))
         assert s.dim == 2 and s.offset == Fraction(1, 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: subtorus_from_equation((True, False), True),
+        lambda: subtorus_from_equation((1, 0), True),
+        lambda: Subtorus((1, 0), False),
+        lambda: translate(Arrangement(2, (Subtorus((1, 0), Fraction(0)),)), (True, 0)),
+        lambda: LinConstraint((True, 0), False, "<"),
+        lambda: LinConstraint((1, 0), False, "<"),
+    ],
+)
+def test_bool_is_not_a_rational(build):
+    with pytest.raises(InvalidInput, match="bool value"):
+        build()
 
 
 class TestSubtorusFromEquation:
