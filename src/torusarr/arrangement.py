@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     ZeroNormal,
 )
-from .lattice import IntVec, as_intvec, covector_times_matrix, det_int
+from .lattice import IntVec, _is_int, as_intvec, covector_times_matrix, det_int
 
 
 def _as_fraction(x) -> Fraction:
@@ -81,7 +81,7 @@ class Arrangement:
     tori: tuple[Subtorus, ...]
 
     def __post_init__(self):
-        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
+        if not _is_int(self.dim) or self.dim < 1:
             raise InvalidInput(f"dimension must be a positive integer, got {self.dim!r}")
         object.__setattr__(self, "tori", tuple(self.tori))
         seen: dict[tuple[IntVec, Fraction], int] = {}

@@ -1,12 +1,14 @@
 """Command-line interface.
 
 Subcommands: count, intersect, feasible, construct, verify, bounds.
-Each ``_cmd_*`` function returns ``(payload, lines, exit_code)`` and prints
-nothing; ``main`` prints the payload as one JSON object under ``--json`` and
-the lines otherwise, so results have one path to stdout. Every subcommand
-accepts ``--json``, a stable machine-readable schema in which all rationals
-are exact "p/q" strings. Diagnostics go to stderr: errors, the bound report
-of a violation, and ``construct -o``'s ``wrote FILE`` note in text mode.
+Each ``_cmd_*`` function returns ``(payload, lines, exit_code)``; ``main``
+prints the payload as one JSON object under ``--json`` and the lines
+otherwise, so results have one path to stdout. The only thing a ``_cmd_*``
+prints itself is ``construct -o``'s ``wrote FILE`` note, on stderr and in
+text mode only. Every subcommand accepts ``--json``, a stable
+machine-readable schema in which all rationals are exact "p/q" strings.
+Diagnostics go to stderr: errors, the bound report of a violation, and that
+``wrote FILE`` note.
 Exit codes: 0 success, 1 parse or validation error, 2 unachievable count
 requested, 3 resource cap exceeded, 4 violated bound (counter bug).
 """

@@ -32,6 +32,11 @@ IntVec = tuple[int, ...]
 IntMatrix = tuple[IntVec, ...]  # tuple of rows
 
 
+def _is_int(x) -> bool:
+    # A bool is an int to Python, but not a coordinate, dimension or count.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def as_intvec(a) -> IntVec:
     """Coerce an iterable to a nonempty tuple of Python ints."""
     vec = tuple(a)
@@ -39,12 +44,10 @@ def as_intvec(a) -> IntVec:
         raise InvalidInput("empty integer vector")
     if all(type(x) is int for x in vec):
         return vec
-    out = []
     for x in vec:
-        if isinstance(x, bool) or not isinstance(x, int):
+        if not _is_int(x):
             raise InvalidInput(f"non-integer entry {x!r}")
-        out.append(x)
-    return tuple(out)
+    return vec
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

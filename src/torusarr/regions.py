@@ -49,10 +49,11 @@ then counts unless m_c . Q det y = det Q c_t (mod Q det) for some
 subtorus t of an active class c, and a point on two active classes is
 counted out once.
 
-``build_cells`` and ``region_witnesses`` decompose the fundamental cube
-[0, 1]^d. Every subtorus lifts to the finitely many parallel hyperplane
-sheets that meet the cube; the cube is then split incrementally, sheet by
-sheet, into open convex cells.
+``build_cells`` decomposes the fundamental cube [0, 1]^d, and
+``region_witnesses`` reads its points off ``build_cells(glue=True)``.
+Every subtorus lifts to the finitely many parallel hyperplane sheets that
+meet the cube; the cube is then split incrementally, sheet by sheet, into
+open convex cells.
 
 Regions are then identified algebraically. In R^d the complement of the
 lifted arrangement falls into the convex cells
@@ -174,19 +175,11 @@ def lift_hyperplanes(s: Subtorus, d: int) -> list[tuple[IntVec, Fraction]]:
 
 
 def _mk_point(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    if den < 0:
-        den = -den
-        nums = [-v for v in nums]
-    g = math.gcd(den, *(abs(v) for v in nums))
+    g = math.gcd(den, *nums)
     if g > 1:
         den //= g
         nums = [v // g for v in nums]
     return tuple(nums), den
-
-
-def _point_fractions(pt) -> tuple[Fraction, ...]:
-    nums, den = pt
-    return tuple(Fraction(v, den) for v in nums)
 
 
 class _Cell:
@@ -269,22 +262,17 @@ def _check_sheet_cap(arr: Arrangement, max_sheets: int | None) -> None:
         )
 
 
-def _collect_sheets(arr: Arrangement, max_sheets: int | None):
-    """The lifted sheets, each subtorus's together in increasing offset, and
-    the (start, stop) range of every subtorus's sheets in that list."""
+def _build(arr: Arrangement, max_sheets: int | None):
+    """The open cells, the lifted sheets (each subtorus's together, in
+    increasing offset) and each subtorus's (start, stop) range in that list."""
     _check_sheet_cap(arr, max_sheets)
+    d = arr.dim
     sheets: list[tuple[IntVec, Fraction]] = []
     runs: list[tuple[int, int]] = []
     for torus in arr.tori:
         start = len(sheets)
-        sheets.extend(lift_hyperplanes(torus, arr.dim))
+        sheets.extend(lift_hyperplanes(torus, d))
         runs.append((start, len(sheets)))
-    return sheets, runs
-
-
-def _build(arr: Arrangement, max_sheets: int | None):
-    d = arr.dim
-    sheets, runs = _collect_sheets(arr, max_sheets)
     cells = [_initial_cube(d)]
     for j, (a, rhs) in enumerate(sheets):
         p, q = rhs.numerator, rhs.denominator
@@ -293,7 +281,7 @@ def _build(arr: Arrangement, max_sheets: int | None):
         for cell in cells:
             vals = []
             for k, (nums, den) in enumerate(cell.verts):
-                s = q * sum(av * nv for av, nv in zip(a, nums) if av) - p * den
+                s = q * sum(map(mul, a, nums)) - p * den
                 if s == 0:
                     cell.tight[k] |= bit
                 vals.append(s)
@@ -307,33 +295,33 @@ def _build(arr: Arrangement, max_sheets: int | None):
 
 
 def _to_public(cells, sheets, d, gluing, region_count) -> CellComplex:
+    """Build each wall, sheet side and distinct vertex once; cells share them."""
     walls = []
     for i in range(d):
         unit = tuple(Fraction(int(j == i)) for j in range(d))
         walls.append(LinConstraint(tuple(-x for x in unit), Fraction(0), "<="))
         walls.append(LinConstraint(unit, Fraction(1), "<="))
+    sides = [
+        {s: LinConstraint(tuple(Fraction(-s * x) for x in a), -s * rhs, "<") for s in (-1, 1)}
+        for a, rhs in sheets
+    ]
+    distinct = {pt for cell in cells for pt in cell.verts}
+    points = {pt: tuple(Fraction(v, pt[1]) for v in pt[0]) for pt in distinct}
     polys = []
-    verts = []
     for cell in cells:
         used = 0
         for mask in cell.tight:
             used |= mask
         constraints = [con for i, con in enumerate(walls) if used >> i & 1]
         bounding = (cell.cut & used) >> 2 * d
-        for j, (a, rhs) in enumerate(sheets):
-            if bounding >> j & 1:
-                side = cell.signs[j]
-                constraints.append(
-                    LinConstraint(tuple(Fraction(-side * x) for x in a), -side * rhs, "<")
-                )
+        constraints += [sides[j][cell.signs[j]] for j in range(len(sheets)) if bounding >> j & 1]
         polys.append(HPolytope(tuple(constraints), d))
-        verts.append(tuple(_point_fractions(v) for v in cell.verts))
     return CellComplex(
         dim=d,
         sheets=tuple(sheets),
         cells=tuple(polys),
         sign_vectors=tuple(tuple(cell.signs) for cell in cells),
-        cell_vertices=tuple(verts),
+        cell_vertices=tuple(tuple(points[pt] for pt in cell.verts) for cell in cells),
         gluing=gluing,
         region_count=region_count,
     )
@@ -348,7 +336,7 @@ def _region_keys(cells, arr: Arrangement, runs) -> list[IntVec]:
     """Floor vector of every cell reduced modulo N Z^d; equal keys, same region.
 
     ``runs`` holds each subtorus's range in the sign vector, whose sheets
-    ``_collect_sheets`` emits in increasing offset, so coordinate t of the
+    ``_build`` emits in increasing offset, so coordinate t of the
     floor vector (less a constant) counts the +1 signs in run t.
     """
     basis = _normal_basis(arr)
@@ -441,21 +429,22 @@ def count_regions(arr: Arrangement, max_sheets: int | None = None) -> int:
     return f
 
 
-def _centroid(cell: _Cell, d: int) -> tuple[Fraction, ...]:
-    n = len(cell.verts)
-    return tuple(
-        sum(Fraction(v[0][k], v[1]) for v in cell.verts) / n for k in range(d)
-    )
-
-
 def region_witnesses(arr: Arrangement, max_sheets: int | None = None) -> list[tuple[Fraction, ...]]:
     """One exact interior point per region, coordinates in [0, 1).
 
-    The witness for a region is the vertex centroid of its lowest-index
-    cell, which lies strictly inside that open cell.
+    Read off ``build_cells(glue=True)``: the witness for a region is the
+    vertex centroid of its lowest-index cell, which lies strictly inside
+    that open cell.
     """
-    cells, _, runs = _build(arr, max_sheets)
-    first: dict[IntVec, int] = {}
-    for i, key in enumerate(_region_keys(cells, arr, runs)):
-        first.setdefault(key, i)
-    return [_centroid(cells[i], arr.dim) for i in first.values()]
+    cc = build_cells(arr, max_sheets, glue=True)
+    witnesses: list[tuple[Fraction, ...]] = []
+    for region, verts in zip(cc.gluing, cc.cell_vertices):
+        if region < len(witnesses):  # not the region's lowest-index cell
+            continue
+        # Summed over one common denominator: one Fraction per coordinate.
+        q = math.lcm(*(x.denominator for v in verts for x in v))
+        witnesses.append(tuple(
+            Fraction(sum(x.numerator * (q // x.denominator) for x in xs), q * len(verts))
+            for xs in zip(*verts)
+        ))
+    return witnesses

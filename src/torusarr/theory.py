@@ -37,17 +37,13 @@ from .errors import (
     ParamOutOfRange,
     TheoremViolation,
 )
+from .lattice import _is_int
 from .regions import count_regions
 
 KIND_SINGLETON_1 = "singleton_1"
 KIND_SINGLETON_N = "singleton_n"
 KIND_ALL_NATURALS = "all_naturals"
 KIND_INTERVAL_PLUS_RAY = "interval_plus_ray"
-
-
-def _is_int(x) -> bool:
-    # A bool is an int to Python, but not a dimension, count or parameter.
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,10 @@ class TestSubtorusFromEquation:
         with pytest.raises(ZeroNormal):
             subtorus_from_equation((0, 0), 1)
 
+    def test_empty_coefficients(self):
+        with pytest.raises(InvalidInput):
+            subtorus_from_equation((), 0)
+
     def test_same_point_set(self):
         # Both equations must cut out the same subset of the torus: a point
         # satisfies q . x = c modulo the value group of q on the lattice
@@ -343,6 +347,7 @@ class TestTarrFormat:
         "text",
         [
             "1 0 : 0/1",                    # missing dim header
+            "# a comment\n\n",              # no dim line at all
             "dim 0\n",                      # bad dimension
             "dim two\n",                    # non-integer dimension
             "dim 2\n1 : 0/1",               # wrong coefficient count

@@ -99,6 +99,14 @@ class TestCount:
         monkeypatch.setenv("TORUSARR_MAX_SHEETS", "-1")
         assert main(["count", family_a]) == 1
 
+    def test_witnesses_respect_the_sheet_cap(self, family_a, capsys):
+        assert main(["count", family_a, "--witnesses", "--max-sheets", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "exceeding the cap of 2" in err
+        assert main(["count", family_a, "--witnesses", "--max-sheets", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "non-negative" in err
+
     def test_bad_env_value(self, family_a, capsys, monkeypatch):
         monkeypatch.setenv("TORUSARR_MAX_SHEETS", "many")
         assert main(["count", family_a]) == 1
@@ -171,6 +179,13 @@ class TestFeasible:
 
     def test_invalid_params(self, capsys):
         assert main(["feasible", "0", "3"]) == 1
+
+    def test_dimension_one_json(self, capsys):
+        assert main(["feasible", "1", "4", "--json"]) == 0
+        assert capsys.readouterr() == (
+            '{"command": "feasible", "d": 1, "n": 4, "set": {"kind": "singleton_n", "value": 4}}\n',
+            "",
+        )
 
 
 class TestConstruct:
@@ -252,6 +267,32 @@ class TestVerify:
         assert main(["verify", family_a, "--json"]) == 0
         assert capsys.readouterr() == (
             '{"command": "verify", "d": 3, "n": 5, "f": 3, "m": 3, ' + VERDICTS_FAMILY_A,
+            "",
+        )
+
+    def test_exact_output_without_dichotomy(self, tmp_path, capsys):
+        path = tmp_path / "two.tarr"
+        path.write_text("dim 3\n1 0 0 : 1/2\n0 1 0 : 1/3\n")
+        assert main(["verify", str(path)]) == 0
+        assert capsys.readouterr() == (
+            "n = 2, d = 3, f = 1, m = 1\n"
+            "parallel-class bound m(n-m-d+2) = 0: satisfied\n"
+            "dichotomy: not applicable (needs n > d >= 2)\n"
+            "membership: 1 in F(T^3,2) = N\n"
+            "verdict: OK\n",
+            "",
+        )
+
+    def test_exact_output_for_no_subtori(self, tmp_path, capsys):
+        path = tmp_path / "empty.tarr"
+        path.write_text("dim 2\n")
+        assert main(["verify", str(path)]) == 0
+        assert capsys.readouterr() == (
+            "n = 0, d = 2, f = 1, m = 0\n"
+            "parallel-class bound m(n-m-d+2) = 0: satisfied\n"
+            "dichotomy: not applicable (needs n > d >= 2)\n"
+            "membership: empty arrangement, complement is the whole torus (f = 1): satisfied\n"
+            "verdict: OK\n",
             "",
         )
 

@@ -13,6 +13,10 @@ class TestLinConstraint:
         with pytest.raises(InvalidInput):
             LC((0, 0), 1, "<=")
 
+    def test_rejects_empty_normal(self):
+        with pytest.raises(InvalidInput):
+            LC((), 0, "<")
+
     def test_rejects_bad_relation(self):
         with pytest.raises(InvalidInput):
             LC((1,), 0, ">=")

@@ -464,6 +464,17 @@ class TestResourceCap:
         with pytest.raises(AssertionError):
             build_cells(arr)
 
+    def test_witnesses_enforce_the_same_cap(self):
+        # 3x - 2y = 1/2 lifts to 5 sheets and x = 0 to 2.
+        arr = Arrangement(2, (Subtorus((3, -2), F(1, 2)), Subtorus((1, 0), F(0))))
+        for route in (count_regions, region_witnesses):
+            for cap in range(7):
+                with pytest.raises(ResourceCapError):
+                    route(arr, max_sheets=cap)
+            route(arr, max_sheets=7)
+            with pytest.raises(InvalidParams):
+                route(arr, max_sheets=-1)
+
     def test_negative_cap_rejected(self):
         for d in range(1, 5):
             with pytest.raises(InvalidParams):

@@ -78,6 +78,16 @@ class TestFeasibleSet:
                 assert s.min_value == n - d + 1
                 assert (len(s.gap()) > 0) == (n > 2 * d + 1)
 
+    @pytest.mark.parametrize(
+        "d, n, kind, least",
+        [(5, 1, "singleton_1", 1), (1, 4, "singleton_n", 4), (3, 2, "all_naturals", 1)],
+    )
+    def test_min_value_and_no_gap_without_a_ray(self, d, n, kind, least):
+        s = feasible_set(d, n)
+        assert s.kind == kind
+        assert s.min_value == least
+        assert list(s.gap()) == []
+
     def test_string_forms(self):
         assert str(feasible_set(4, 1)) == "{1}"
         assert str(feasible_set(4, 3)) == "N"
