@@ -340,31 +340,76 @@ def nonsingular_subsets(rows) -> tuple[tuple[IntVec, IntMatrix, int, IntVec, Int
     every matrix is singular, and a is spanned for every subset that
     extends the prefix by a later row. Otherwise the child keeps delta h,
     h S_i - (a . S_i) u and delta u: r dot products per child and no
-    Gauss-Jordan elimination per subset. At depth r - 1 the kernel is one
-    vector v, det A = +-delta (a . v), the S_i are the columns of
-    det A^{-1}, and every row after the last member is spanned.
+    Gauss-Jordan elimination per subset.
+
+    At depth r - 1 the kernel is one vector v, so a leaf needs no fold:
+    h = |a . v|, u = +-v, det A = delta h, the leaf's S_i are the columns
+    of det A^{-1}, and every row after the last member is spanned. The
+    walk, ``_nonsingular_leaves``, yields each leaf with its parent's S_i
+    and delta and its own a, h and u, from which ``_child_cols`` makes the
+    columns. This function makes them at every leaf;
+    ``torusarr.regions.count_regions`` makes them only at the leaves with
+    a spanned row, the only ones whose columns it reads.
     """
+    return tuple(
+        (chosen, _child_cols(parent), det, radices, spanned)
+        for chosen, det, radices, spanned, parent in _nonsingular_leaves(rows)
+    )
+
+
+def _child_cols(parent) -> IntMatrix:
+    """The columns h S_i - (a . S_i) u and delta u of a child, from the
+    parent's S_i (``cols``) and delta, the child's row a, pivot h and u."""
+    cols, a, h, u, delta = parent
+    new = [
+        tuple([h * p - c * q for p, q in zip(s, u)])
+        for s, c in zip(cols, [sum(map(mul, a, s)) for s in cols])
+    ]
+    new.append(tuple([delta * q for q in u]))
+    return tuple(new)
+
+
+def _nonsingular_leaves(rows):
+    """Yield (indices, det, radices, spanned, parent) for the subsets of
+    ``nonsingular_subsets``, in its order; ``_child_cols(parent)`` are
+    their cols."""
     rows = [as_intvec(a) for a in rows]
     if not rows:
-        return ()
+        return
     r = len(rows[0])
     if any(len(a) != r for a in rows):
         raise DimensionMismatch("rows have different lengths")
     n, last = len(rows), r - 1
-    found = []
     # A frame is one prefix: the first row that may extend it, its kernel
     # basis, its S_i, delta, the pivots, the chosen row indices and the
     # rows outside it spanned by the members before them.
     eye = [tuple(int(i == k) for i in range(r)) for k in range(r)]
-    stack = [(0, eye, [], 1, (), (), ())]
+    stack = [(0, eye, (), 1, (), (), ())]
     while stack:
         start, kernel, cols, delta, radices, chosen, spanned = stack.pop()
         j = len(chosen)
-        # A leaf may end on any later row; an inner frame leaves room for
-        # the r - 1 - j rows still to come.
-        stop = n if j == last else n - last + j
+        if j == last:
+            # One kernel vector: the pivot is a . v and u = v, no fold.
+            [v] = kernel
+            for t in range(start, n):
+                a = rows[t]
+                h = sum(map(mul, a, v))
+                if not h:
+                    spanned += (t,)
+                    continue
+                u = v if h > 0 else [-p for p in v]
+                h = abs(h)
+                yield (
+                    chosen + (t,),
+                    delta * h,
+                    radices + (h,),
+                    spanned + tuple(range(t + 1, n)),
+                    (cols, a, h, u, delta),
+                )
+            continue
         children = []
-        for t in range(start, stop):
+        # An inner frame leaves room for the r - 1 - j rows still to come.
+        for t in range(start, n - last + j):
             a = rows[t]
             h, u, rest = _fold([sum(map(mul, a, b)) for b in kernel], kernel)
             if not h:
@@ -374,25 +419,11 @@ def nonsingular_subsets(rows) -> tuple[tuple[IntVec, IntMatrix, int, IntVec, Int
                 continue
             if h < 0:
                 h, u = -h, [-p for p in u]
-            new = [
-                tuple([h * p - c * q for p, q in zip(s, u)])
-                for s, c in zip(cols, [sum(map(mul, a, s)) for s in cols])
-            ]
-            new.append(tuple([delta * q for q in u]))
-            if j == last:
-                found.append(
-                    (
-                        chosen + (t,),
-                        tuple(new),
-                        delta * h,
-                        radices + (h,),
-                        spanned + tuple(range(t + 1, n)),
-                    )
+            children.append(
+                (
+                    t + 1, rest, _child_cols((cols, a, h, u, delta)), delta * h,
+                    radices + (h,), chosen + (t,), spanned,
                 )
-            else:
-                children.append(
-                    (t + 1, rest, new, delta * h, radices + (h,), chosen + (t,), spanned)
-                )
+            )
         # Pushed in reverse, the children pop in increasing order.
         stack.extend(reversed(children))
-    return tuple(found)

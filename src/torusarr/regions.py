@@ -26,8 +26,8 @@ classes of parallel subtori alone, ordered by their first subtorus; a
 point on exactly r subtori contributes 1.
 
 The points of B come from its matrix A (rows m_t, t in B): they are the
-|det A| solutions y = A^{-1} (c_B + k) mod Z^r, k in Z^r. One walk
-(``torusarr.lattice.nonsingular_subsets``) finds every nonsingular set
+|det A| solutions y = A^{-1} (c_B + k) mod Z^r, k in Z^r. One walk (that
+of ``torusarr.lattice.nonsingular_subsets``) finds every nonsingular set
 of r distinct normals, in the order of the classes, with det > 0, G =
 det A^{-1}, the radices h_1..h_r of A's lower-triangular Hermite form
 and the active classes: the sets form a tree of shared prefixes, each
@@ -40,17 +40,24 @@ normals. Class c follows every member of its fundamental circuit exactly
 when m_c lies in the span of the members before it, which the walk's
 zero-pivot test decides; every class after the last member is active. A
 set with no active class adds det times the number of choices of one
-subtorus per normal and lists nothing. Otherwise, with Q the lcm of all
-offset denominators, Q det y = G (Q c) + Q G k, and the count lists
-m_c . Q G k mod Q det for every active class c over the det vectors k of
-the mixed-radix box 0 <= k_i < h_i, which holds one k per class of
-Z^r / A Z^r, one coordinate at a time. For each choice of subtori a point
-then counts unless m_c . Q det y = det Q c_t (mod Q det) for some
-subtorus t of an active class c, and a point on two active classes is
-counted out once.
+subtorus per normal, and its columns are never made. Otherwise, with Q the
+lcm of all offset denominators, Q det y = G (Q c) + Q G k over the det
+vectors k of the mixed-radix box 0 <= k_i < h_i, which holds one k per
+class of Z^r / A Z^r, and for each choice of subtori a point counts unless
+m_c . Q det y = det Q c_t (mod Q det) for some subtorus t of an active
+class c. The map k -> m_c . Q G k (mod Q det) sends the det points onto
+the multiples of g_c = Q gcd(det, m_c . G_1, ..., m_c . G_r), g_c / Q
+points on each, so t passes through g_c / Q points when det Q c_t -
+m_c . G (Q c) is a multiple of g_c and through none otherwise: one O(r)
+test per subtorus of an active class. Parallel subtori share no point, so
+a choice whose hits all lie in one class adds det less the sum of their
+g_c / Q. Only a choice with hits in two classes, whose hit sets may
+overlap, lists m_c . Q G k mod Q det for every active class over the box,
+one coordinate at a time and once per set, and counts the union of the
+points hit.
 
 ``build_cells`` decomposes the fundamental cube [0, 1]^d, and
-``region_witnesses`` reads its points off ``build_cells(glue=True)``.
+``region_witnesses`` reads its points off the same cells and keys.
 Every subtorus lifts to the finitely many parallel hyperplane sheets that
 meet the cube; the cube is then split incrementally, sheet by sheet, into
 open convex cells.
@@ -94,7 +101,14 @@ from operator import mul
 from .arrangement import Arrangement, Subtorus
 from .errors import DimensionMismatch, InvalidParams, ResourceCapError
 from .feasibility import LinConstraint
-from .lattice import IntVec, hermite_basis, nonsingular_subsets, reduce_mod_lattice
+from .lattice import (
+    IntVec,
+    _child_cols,
+    _is_int,
+    _nonsingular_leaves,
+    hermite_basis,
+    reduce_mod_lattice,
+)
 
 DEFAULT_MAX_SHEETS = 64
 
@@ -251,8 +265,8 @@ def _check_sheet_cap(arr: Arrangement, max_sheets: int | None) -> None:
     subtorus lifts to ||a||_1 = hi - lo sheets of ``_sheet_range``, one more
     at offset 0."""
     cap = DEFAULT_MAX_SHEETS if max_sheets is None else max_sheets
-    if cap < 0:
-        raise InvalidParams(f"the sheet cap must be non-negative, got {cap}")
+    if not _is_int(cap) or cap < 0:
+        raise InvalidParams(f"the sheet cap must be a non-negative integer, got {cap!r}")
     total = sum(sum(map(abs, t.normal)) + (not t.offset) for t in arr.tori)
     if total > cap:
         raise ResourceCapError(
@@ -404,20 +418,39 @@ def count_regions(arr: Arrangement, max_sheets: int | None = None) -> int:
     qc = [t.offset.numerator * (q // t.offset.denominator) for t in arr.tori]
     f = 0
     # Every nonsingular set of r distinct normals, eliminated on a tree of
-    # shared prefixes, with the columns of det A^{-1}, the radices and the
-    # active classes: those its smaller members span.
-    for chosen, cols, det, radices, active in nonsingular_subsets(reps):
+    # shared prefixes, with the radices and the active classes: those its
+    # smaller members span. The columns of det A^{-1} are made only for a
+    # set with an active class.
+    for chosen, det, radices, active, parent in _nonsingular_leaves(reps):
         if not active:
             f += det * math.prod(len(classes[i]) for i in chosen)
             continue
-        # m_c . (q det y) = (m_c . cols) (q c) + m_c . q cols k, listed mod
-        # q det over the box of k for every active class at once. A point
-        # counts unless it lies on an active class.
+        # m_c . (q det y) = (m_c . cols) (q c) + m_c . q cols k mod q det,
+        # and k -> m_c . q cols k sends the det points onto the multiples
+        # of step_c = q gcd(det, m_c . cols), step_c / q points on each.
+        cols = _child_cols(parent)
         den = q * det
         dots = [[sum(map(mul, reps[c], col)) for col in cols] for c in active]
-        lines = _solution_box(list(zip(*dots)), radices, q, den)
+        lines = None
         for subset in itertools.product(*[classes[i] for i in chosen]):
             cs = [qc[t] for t in subset]
+            # The subtori of one class are disjoint, so the hits of one
+            # class remove step_c / q points each; a second hit class ends
+            # the test, and the listing counts the union.
+            lost = 0
+            for c, g in zip(active, dots):
+                b = sum(map(mul, g, cs))
+                step = q * math.gcd(det, *g)
+                k = [(det * qc[t] - b) % step for t in classes[c]].count(0)
+                if k:
+                    if lost:
+                        break
+                    lost = k * step // q
+            else:
+                f += det - lost
+                continue
+            if lines is None:
+                lines = _solution_box(list(zip(*dots)), radices, q, den)
             hit: set[int] = set()
             for c, g, line in zip(active, dots, lines):
                 b = sum(map(mul, g, cs))
@@ -432,19 +465,21 @@ def count_regions(arr: Arrangement, max_sheets: int | None = None) -> int:
 def region_witnesses(arr: Arrangement, max_sheets: int | None = None) -> list[tuple[Fraction, ...]]:
     """One exact interior point per region, coordinates in [0, 1).
 
-    Read off ``build_cells(glue=True)``: the witness for a region is the
-    vertex centroid of its lowest-index cell, which lies strictly inside
-    that open cell.
+    The cells of ``build_cells(glue=True)``, grouped by key: the witness for
+    a region is the vertex centroid of its lowest-index cell, which lies
+    strictly inside that open cell. Only those cells' points become
+    fractions.
     """
-    cc = build_cells(arr, max_sheets, glue=True)
+    cells, _, runs = _build(arr, max_sheets)
+    seen: set[IntVec] = set()
     witnesses: list[tuple[Fraction, ...]] = []
-    for region, verts in zip(cc.gluing, cc.cell_vertices):
-        if region < len(witnesses):  # not the region's lowest-index cell
+    for cell, key in zip(cells, _region_keys(cells, arr, runs)):
+        if key in seen:
             continue
+        seen.add(key)
         # Summed over one common denominator: one Fraction per coordinate.
-        q = math.lcm(*(x.denominator for v in verts for x in v))
-        witnesses.append(tuple(
-            Fraction(sum(x.numerator * (q // x.denominator) for x in xs), q * len(verts))
-            for xs in zip(*verts)
-        ))
+        q = math.lcm(*(den for _, den in cell.verts))
+        scale = [q // den for _, den in cell.verts]
+        coords = zip(*(nums for nums, _ in cell.verts))
+        witnesses.append(tuple(Fraction(sum(map(mul, xs, scale)), q * len(scale)) for xs in coords))
     return witnesses

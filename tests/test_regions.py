@@ -346,6 +346,32 @@ class TestVertexSum:
         tori = [((1, 0), 0), ((1, 0), F(1, 2)), ((1, 1), 0), ((1, -1), 0)]
         _assert_count_in_every_order(tori, 4)
 
+    def test_hits_in_one_class_are_counted_without_the_listing(self, monkeypatch):
+        # The gcd test decides every choice whose hits lie in one active
+        # class: a random d=3 input, and x = 0 and x = 1/2 each hitting one
+        # of the two points of x + y = x - y = 0, in every order.
+        def no_listing(*args):
+            raise AssertionError("count_regions listed a basis's points")
+
+        monkeypatch.setattr(regions, "_solution_box", no_listing)
+        arr = random_arrangement(random.Random(0), 3, 6)
+        assert count_regions(arr) == build_cells(arr, glue=True).region_count == 133
+        tori = [((1, 0), 0), ((1, 0), F(1, 2)), ((1, 1), 0), ((1, -1), 0)]
+        _assert_count_in_every_order(tori, 4)
+
+    def test_hits_in_two_classes_fall_back_to_the_listing(self, monkeypatch):
+        # For the basis x, y the classes x + y and x - y are active, and
+        # both pass through its one point, the origin.
+        listed = []
+
+        def listing(*args):
+            listed.append(args)
+            return _solution_box(*args)
+
+        monkeypatch.setattr(regions, "_solution_box", listing)
+        assert count_regions(_through_origin([(1, 0), (0, 1), (1, 1), (1, -1)])) == 4
+        assert listed
+
     def test_several_choices_of_subtori_for_one_basis(self):
         # The basis x, y has four choices of one subtorus each; in the orders
         # where x + y = 0 and x + y = 1/2 follow both, they cover (0, 0) and
@@ -479,6 +505,14 @@ class TestResourceCap:
         for d in range(1, 5):
             with pytest.raises(InvalidParams):
                 count_regions(Arrangement(d, ()), max_sheets=-1)
+
+    def test_non_integer_cap_rejected(self):
+        arr = Arrangement(2, (Subtorus((1, 0), F(1, 2)),))
+        for cap in (True, 2.5, "3"):
+            for route in (count_regions, region_witnesses):
+                with pytest.raises(InvalidParams):
+                    route(arr, max_sheets=cap)
+        assert count_regions(arr, max_sheets=None) == 1
 
     def test_default_cap_is_64(self):
         tori = tuple(
