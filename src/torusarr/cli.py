@@ -58,7 +58,7 @@ def _frac_str(x: Fraction) -> str:
 
 
 def _max_sheets(args) -> int | None:
-    if getattr(args, "max_sheets", None) is not None:
+    if args.max_sheets is not None:
         return args.max_sheets
     env = os.environ.get(ENV_MAX_SHEETS)
     if env is not None:
@@ -193,53 +193,51 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=f"torusarr {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    json_opt = _Parser(add_help=False)
+    json_opt.add_argument("--json", action="store_true")
+    cap_opt = _Parser(add_help=False)
+    cap_opt.add_argument("--max-sheets", type=int, dest="max_sheets")
+    both = [json_opt, cap_opt]
 
-    p = sub.add_parser("count", help="count complement regions of a .tarr arrangement")
+    p = sub.add_parser("count", parents=both,
+                       help="count complement regions of a .tarr arrangement")
     p.add_argument("file")
     p.add_argument("--witnesses", action="store_true", help="print one rational point per region")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-sheets", type=int, dest="max_sheets")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("intersect", help="component count of a pairwise intersection")
+    p = sub.add_parser("intersect", parents=[json_opt],
+                       help="component count of a pairwise intersection")
     p.add_argument("file")
     p.add_argument("--pair", nargs=2, type=int, required=True, metavar=("I", "J"),
                    help="1-based subtorus indices in file order")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_intersect)
 
-    p = sub.add_parser("feasible", help="achievable region counts for (d, n)")
+    p = sub.add_parser("feasible", parents=[json_opt], help="achievable region counts for (d, n)")
     p.add_argument("d", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--test", type=int, default=None, metavar="L",
                    help="test membership of L instead of printing the set")
     p.add_argument("--quiet", action="store_true",
                    help="with --test: no output, exit 0 if member else 2")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_feasible)
 
-    p = sub.add_parser("construct", help="build an arrangement achieving a given count")
+    p = sub.add_parser("construct", parents=both,
+                       help="build an arrangement achieving a given count")
     p.add_argument("d", type=int)
     p.add_argument("n", type=int)
     p.add_argument("f", type=int)
     p.add_argument("-o", "--output", default=None, metavar="FILE",
                    help="write .tarr here instead of stdout")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-sheets", type=int, dest="max_sheets")
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("verify", help="count regions, then check all proven bounds")
+    p = sub.add_parser("verify", parents=both, help="count regions, then check all proven bounds")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-sheets", type=int, dest="max_sheets")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("bounds", help="bound report for an arrangement")
+    p = sub.add_parser("bounds", parents=both, help="bound report for an arrangement")
     p.add_argument("file")
     p.add_argument("--f", type=int, default=None,
                    help="use this region count instead of re-deriving it")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-sheets", type=int, dest="max_sheets")
     p.set_defaults(func=_cmd_bounds)
 
     return parser

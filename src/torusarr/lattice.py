@@ -342,15 +342,22 @@ def nonsingular_subsets(rows) -> tuple[tuple[IntVec, IntMatrix, int, IntVec, Int
     h S_i - (a . S_i) u and delta u: r dot products per child and no
     Gauss-Jordan elimination per subset.
 
-    At depth r - 1 the kernel is one vector v, so a leaf needs no fold:
-    h = |a . v|, u = +-v, det A = delta h, the leaf's S_i are the columns
-    of det A^{-1}, and every row after the last member is spanned. The
-    walk, ``_nonsingular_leaves``, yields each leaf with its parent's S_i
-    and delta and its own a, h and u, from which ``_child_cols`` makes the
-    columns. This function makes them at every leaf;
-    ``torusarr.regions.count_regions`` makes them only at the leaves with
-    a spanned row, the only ones whose columns it reads.
+    Every step, inner or leaf, makes h and u and then shares the zero-pivot
+    test, the sign flip and the record. At depth r - 1 the kernel is one
+    vector v, so a leaf takes h = a . v and u = v with no fold; det A =
+    delta h, its S_i are the columns of det A^{-1}, and every row after the
+    last member is spanned. The walk, ``_nonsingular_leaves``, yields each
+    leaf with its parent's S_i and delta and its own a, h and u, from which
+    ``_child_cols`` makes the columns: here at every leaf, in
+    ``torusarr.regions.count_regions`` only at the leaves with a spanned
+    row, the only ones whose columns it reads. The rows are checked here,
+    once; the walk takes them as checked.
     """
+    rows = [as_intvec(a) for a in rows]
+    if not rows:
+        return ()
+    if any(len(a) != len(rows[0]) for a in rows):
+        raise DimensionMismatch("rows have different lengths")
     return tuple(
         (chosen, _child_cols(parent), det, radices, spanned)
         for chosen, det, radices, spanned, parent in _nonsingular_leaves(rows)
@@ -372,13 +379,9 @@ def _child_cols(parent) -> IntMatrix:
 def _nonsingular_leaves(rows):
     """Yield (indices, det, radices, spanned, parent) for the subsets of
     ``nonsingular_subsets``, in its order; ``_child_cols(parent)`` are
-    their cols."""
-    rows = [as_intvec(a) for a in rows]
-    if not rows:
-        return
+    their cols. ``rows`` is a nonempty list of integer tuples of one
+    length, as ``nonsingular_subsets`` checks them."""
     r = len(rows[0])
-    if any(len(a) != r for a in rows):
-        raise DimensionMismatch("rows have different lengths")
     n, last = len(rows), r - 1
     # A frame is one prefix: the first row that may extend it, its kernel
     # basis, its S_i, delta, the pivots, the chosen row indices and the
@@ -388,30 +391,17 @@ def _nonsingular_leaves(rows):
     while stack:
         start, kernel, cols, delta, radices, chosen, spanned = stack.pop()
         j = len(chosen)
-        if j == last:
-            # One kernel vector: the pivot is a . v and u = v, no fold.
-            [v] = kernel
-            for t in range(start, n):
-                a = rows[t]
-                h = sum(map(mul, a, v))
-                if not h:
-                    spanned += (t,)
-                    continue
-                u = v if h > 0 else [-p for p in v]
-                h = abs(h)
-                yield (
-                    chosen + (t,),
-                    delta * h,
-                    radices + (h,),
-                    spanned + tuple(range(t + 1, n)),
-                    (cols, a, h, u, delta),
-                )
-            continue
+        leaf = j == last
         children = []
-        # An inner frame leaves room for the r - 1 - j rows still to come.
+        # A frame leaves room for the r - 1 - j rows still to come.
         for t in range(start, n - last + j):
             a = rows[t]
-            h, u, rest = _fold([sum(map(mul, a, b)) for b in kernel], kernel)
+            if leaf:
+                # One kernel vector v: the pivot is a . v and u = v, no fold.
+                u = kernel[0]
+                h = sum(map(mul, a, u))
+            else:
+                h, u, rest = _fold([sum(map(mul, a, b)) for b in kernel], kernel)
             if not h:
                 # Row t is in the prefix's span: in that of the smaller
                 # members of every subset that extends the prefix past t.
@@ -419,11 +409,13 @@ def _nonsingular_leaves(rows):
                 continue
             if h < 0:
                 h, u = -h, [-p for p in u]
-            children.append(
-                (
-                    t + 1, rest, _child_cols((cols, a, h, u, delta)), delta * h,
-                    radices + (h,), chosen + (t,), spanned,
+            parent = (cols, a, h, u, delta)
+            chosen_t, delta_t, radices_t = chosen + (t,), delta * h, radices + (h,)
+            if leaf:
+                yield chosen_t, delta_t, radices_t, spanned + tuple(range(t + 1, n)), parent
+            else:
+                children.append(
+                    (t + 1, rest, _child_cols(parent), delta_t, radices_t, chosen_t, spanned)
                 )
-            )
         # Pushed in reverse, the children pop in increasing order.
         stack.extend(reversed(children))

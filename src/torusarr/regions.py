@@ -56,11 +56,11 @@ overlap, lists m_c . Q G k mod Q det for every active class over the box,
 one coordinate at a time and once per set, and counts the union of the
 points hit.
 
-``build_cells`` decomposes the fundamental cube [0, 1]^d, and
-``region_witnesses`` reads its points off the same cells and keys.
-Every subtorus lifts to the finitely many parallel hyperplane sheets that
-meet the cube; the cube is then split incrementally, sheet by sheet, into
-open convex cells.
+``build_cells`` decomposes the fundamental cube [0, 1]^d, in at most
+``MAX_CELL_DIM`` dimensions, and ``region_witnesses`` reads its points off
+the same cells and region indices. Every subtorus lifts to the finitely
+many parallel hyperplane sheets that meet the cube; the cube is then split
+incrementally, sheet by sheet, into open convex cells.
 
 Regions are then identified algebraically. In R^d the complement of the
 lifted arrangement falls into the convex cells
@@ -70,9 +70,12 @@ action. Every cube cell lies in one P_K, and K_t is, up to a constant
 shift per subtorus, the number of subtorus t's sheets on whose positive
 side the cell lies. So a cell's key is its floor vector K reduced modulo
 the lattice N Z^d (``torusarr.lattice.hermite_basis``), and cells lie in
-the same region exactly when their keys agree. A subtorus x_i = 0 needs no
-special case: all cube cells share its coordinate of K, so no translation
-with a nonzero i-th component relates two of them.
+the same region exactly when their keys agree. One grouping numbers the
+regions by their lowest-index cell: ``build_cells(glue=True)`` keeps the
+indices as ``gluing``, and ``region_witnesses`` takes each region's first
+cell. A subtorus x_i = 0 needs no special case: all cube cells share its
+coordinate of K, so no translation with a nonzero i-th component relates
+two of them.
 
 Cells are tracked by their exact vertex sets (integer coordinate vectors
 over a common denominator), which makes every split decision a matter of
@@ -111,6 +114,10 @@ from .lattice import (
 )
 
 DEFAULT_MAX_SHEETS = 64
+# The cell route's cube alone has 2^d vertices, which the sheet cap does not
+# count. One sheet x_1 = 1/2 costs about four times more per dimension:
+# 0.23 s in T^11 and 0.81 s in T^12 on one Xeon core.
+MAX_CELL_DIM = 12
 
 relative_dim_is = int_rank = hulls_overlap_h = hull_h = affine_rank = None  # perfbench INNER only
 
@@ -281,6 +288,11 @@ def _build(arr: Arrangement, max_sheets: int | None):
     increasing offset) and each subtorus's (start, stop) range in that list."""
     _check_sheet_cap(arr, max_sheets)
     d = arr.dim
+    if d > MAX_CELL_DIM:
+        raise ResourceCapError(
+            f"building cells in dimension d = {d} exceeds the limit of {MAX_CELL_DIM}: the "
+            f"cube alone has 2^{d} vertices; count_regions counts without cells"
+        )
     sheets: list[tuple[IntVec, Fraction]] = []
     runs: list[tuple[int, int]] = []
     for torus in arr.tori:
@@ -346,18 +358,19 @@ def _normal_basis(arr: Arrangement) -> tuple[IntVec, ...]:
     return hermite_basis(zip(*(t.normal for t in arr.tori)))
 
 
-def _region_keys(cells, arr: Arrangement, runs) -> list[IntVec]:
-    """Floor vector of every cell reduced modulo N Z^d; equal keys, same region.
+def _group_cells(cells, arr: Arrangement, runs) -> tuple[tuple[int, ...], int]:
+    """Each cell's region index, regions numbered in the order of their
+    lowest-index cell, and the region count.
 
-    ``runs`` holds each subtorus's range in the sign vector, whose sheets
-    ``_build`` emits in increasing offset, so coordinate t of the
+    A cell's key is its floor vector reduced modulo N Z^d; equal keys, same
+    region. ``runs`` holds each subtorus's range in the sign vector, whose
+    sheets ``_build`` emits in increasing offset, so coordinate t of the
     floor vector (less a constant) counts the +1 signs in run t.
     """
     basis = _normal_basis(arr)
-    return [
-        reduce_mod_lattice([cell.signs[i:j].count(1) for i, j in runs], basis)
-        for cell in cells
-    ]
+    keys = [reduce_mod_lattice([c.signs[i:j].count(1) for i, j in runs], basis) for c in cells]
+    index: dict[IntVec, int] = {}
+    return tuple(index.setdefault(key, len(index)) for key in keys), len(index)
 
 
 def build_cells(arr: Arrangement, max_sheets: int | None = None, glue: bool = False) -> CellComplex:
@@ -367,11 +380,8 @@ def build_cells(arr: Arrangement, max_sheets: int | None = None, glue: bool = Fa
     ``gluing`` / ``region_count`` are populated.
     """
     cells, sheets, runs = _build(arr, max_sheets)
-    if glue:
-        index: dict[IntVec, int] = {}
-        gluing = tuple(index.setdefault(k, len(index)) for k in _region_keys(cells, arr, runs))
-        return _to_public(cells, sheets, arr.dim, gluing, len(index))
-    return _to_public(cells, sheets, arr.dim, None, None)
+    gluing, region_count = _group_cells(cells, arr, runs) if glue else (None, None)
+    return _to_public(cells, sheets, arr.dim, gluing, region_count)
 
 
 def _solution_box(cols, radices, step: int, den: int) -> list[list[int]]:
@@ -465,18 +475,18 @@ def count_regions(arr: Arrangement, max_sheets: int | None = None) -> int:
 def region_witnesses(arr: Arrangement, max_sheets: int | None = None) -> list[tuple[Fraction, ...]]:
     """One exact interior point per region, coordinates in [0, 1).
 
-    The cells of ``build_cells(glue=True)``, grouped by key: the witness for
-    a region is the vertex centroid of its lowest-index cell, which lies
+    The cells of ``build_cells(glue=True)`` and their region indices: the
+    witness for a region is the vertex centroid of its lowest-index cell,
+    the first whose index equals the number of witnesses so far, and lies
     strictly inside that open cell. Only those cells' points become
     fractions.
     """
     cells, _, runs = _build(arr, max_sheets)
-    seen: set[IntVec] = set()
+    gluing, _ = _group_cells(cells, arr, runs)
     witnesses: list[tuple[Fraction, ...]] = []
-    for cell, key in zip(cells, _region_keys(cells, arr, runs)):
-        if key in seen:
+    for cell, region in zip(cells, gluing):
+        if region != len(witnesses):
             continue
-        seen.add(key)
         # Summed over one common denominator: one Fraction per coordinate.
         q = math.lcm(*(den for _, den in cell.verts))
         scale = [q // den for _, den in cell.verts]

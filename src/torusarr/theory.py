@@ -56,33 +56,31 @@ class FeasibleSet:
     interval: tuple[int, int] | None = None
     ray_start: int | None = None
 
+    def _reading(self) -> tuple[int, int, int | None]:
+        """(lo, hi, ray): the set is lo..hi and, unless ray is None, every l >= ray."""
+        if self.kind == KIND_SINGLETON_1:
+            return 1, 1, None
+        if self.kind == KIND_SINGLETON_N:
+            return self.n, self.n, None
+        if self.kind == KIND_ALL_NATURALS:
+            return 1, 0, 1
+        return *self.interval, self.ray_start
+
     def contains(self, l: int) -> bool:
         if not _is_int(l) or l < 1:
             return False
-        if self.kind == KIND_SINGLETON_1:
-            return l == 1
-        if self.kind == KIND_SINGLETON_N:
-            return l == self.n
-        if self.kind == KIND_ALL_NATURALS:
-            return True
-        lo, hi = self.interval
-        return lo <= l <= hi or l >= self.ray_start
+        lo, hi, ray = self._reading()
+        return lo <= l <= hi or (ray is not None and l >= ray)
 
     @property
     def min_value(self) -> int:
-        if self.kind == KIND_SINGLETON_1:
-            return 1
-        if self.kind == KIND_SINGLETON_N:
-            return self.n
-        if self.kind == KIND_ALL_NATURALS:
-            return 1
-        return self.interval[0]
+        # The ray never starts below lo: 2(n - d) >= n - d + 1 for n > d.
+        return self._reading()[0]
 
     def gap(self) -> range:
         """Integers missing between the interval and the ray (may be empty)."""
-        if self.kind != KIND_INTERVAL_PLUS_RAY:
-            return range(0)
-        return range(self.interval[1] + 1, self.ray_start)
+        _, hi, ray = self._reading()
+        return range(0) if ray is None else range(hi + 1, ray)
 
     def __str__(self) -> str:
         if self.kind == KIND_SINGLETON_1:

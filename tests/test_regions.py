@@ -18,6 +18,7 @@ from conftest import (
 )
 from torusarr import regions
 from torusarr.arrangement import Arrangement, Subtorus, subtorus_from_equation, transform, translate
+from torusarr.cli import main
 from torusarr.errors import DimensionMismatch, DuplicateSubtorus, InvalidParams, ResourceCapError
 from torusarr.feasibility import LinConstraint
 from torusarr.lattice import det_int, nonsingular_subsets
@@ -520,6 +521,25 @@ class TestResourceCap:
         )
         with pytest.raises(ResourceCapError):
             count_regions(Arrangement(2, tori))
+
+    def test_cells_refuse_dimensions_above_the_limit(self):
+        # The empty arrangement passes any sheet cap, but its cube alone
+        # has 2^d vertices; the vertex sum has no such limit.
+        d = regions.MAX_CELL_DIM + 1
+        for route in (build_cells, region_witnesses):
+            with pytest.raises(ResourceCapError, match=f"dimension d = {d} "):
+                route(Arrangement(d, ()))
+        assert count_regions(Arrangement(d, ())) == 1
+
+    def test_cli_refuses_witnesses_in_dimension_40_at_once(self, tmp_path, capsys):
+        path = tmp_path / "dim40.tarr"
+        path.write_text("dim 40\n")
+        start = time.perf_counter()
+        assert main(["count", str(path), "--witnesses"]) == 3
+        assert time.perf_counter() - start < 1
+        assert "dimension d = 40" in capsys.readouterr().err
+        assert main(["count", str(path)]) == 0
+        assert capsys.readouterr().out == "f = 1\n"
 
 
 class TestWitnesses:
