@@ -66,6 +66,21 @@ class TestComponentsPair:
         for a, b in cases:
             assert components_pair(a, b) == minors2_gcd(a, b)
 
+    def test_leading_zero_path_exhaustive(self):
+        # a_0 = a_1 = 0 takes the swap path, on either side of the pair; an
+        # explicit chain is refused there.
+        for d in (3, 4):
+            box = list(primitive_vectors(d, 2))
+            for a in box:
+                if a[0] or a[1]:
+                    continue
+                for b in box:
+                    if b == a or b == tuple(-x for x in a):
+                        continue
+                    assert components_pair(a, b) == components_pair(b, a) == minors2_gcd(a, b)
+                with pytest.raises(InvalidInput, match="explicit chain"):
+                    components_pair(a, box[0], chain=bezout_chain(a))
+
     def test_agrees_with_coordinate_exhaustive(self):
         e1 = (1, 0, 0)
         for b in primitive_vectors(3, 3):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_primitive_vector, random_unimodular
 from torusarr.errors import DimensionMismatch, InvalidInput, NonPrimitive
 from torusarr.lattice import (
+    BezoutChain,
     as_intvec,
     bezout_chain,
     complete_to_unimodular,
@@ -88,6 +89,33 @@ class TestBezoutChain:
         bad = type(ch)(ch.vector, ch.gcds, ((1, 1),) + ch.coeffs[1:])
         with pytest.raises(InvalidInput):
             bad.verify()
+
+    def test_verify_accepts_built_chains_and_rejects_each_corruption(self):
+        for v in ((6, 10, 15), (0, 0, 3, 5), (4, 0, 6, 9), (0, 7)):
+            ch = bezout_chain(v)
+            ch.verify()
+            bad = [BezoutChain(v, ch.gcds[:-1], ch.coeffs[:-1])]
+            for j, (g, u) in enumerate(zip(ch.gcds, ch.coeffs)):
+                for wrong in (g + 1, g - 1):
+                    bad.append(BezoutChain(v, ch.gcds[:j] + (wrong,) + ch.gcds[j + 1 :], ch.coeffs))
+                # A multiple of the gcd with a certificate scaled to match.
+                for k in (2, -1) if g else ():
+                    gcds = ch.gcds[:j] + (k * g,) + ch.gcds[j + 1 :]
+                    scaled = tuple(k * x for x in u)
+                    bad.append(BezoutChain(v, gcds, ch.coeffs[:j] + (scaled,) + ch.coeffs[j + 1 :]))
+                for cut in (u + (0,), u[:-1]):
+                    bad.append(BezoutChain(v, ch.gcds, ch.coeffs[:j] + (cut,) + ch.coeffs[j + 1 :]))
+                # Moving an entry at a nonzero a_i moves the certified value.
+                i = next((i for i in range(j + 2) if v[i]), None)
+                if i is not None:
+                    off = tuple(x + (k == i) for k, x in enumerate(u))
+                    bad.append(BezoutChain(v, ch.gcds, ch.coeffs[:j] + (off,) + ch.coeffs[j + 1 :]))
+            for chain in bad:
+                with pytest.raises(InvalidInput):
+                    chain.verify()
+        for d in range(1, 5):
+            for v in itertools.product(range(-3, 4), repeat=d):
+                bezout_chain(v).verify()
 
     @given(int_vectors)
     def test_chain_invariants(self, v):
