@@ -66,7 +66,8 @@ class NotFeasible(TorusArrError):
 
 
 class ResourceCapError(TorusArrError):
-    """Lifted-hyperplane count exceeds the configured cap."""
+    """Lifted-hyperplane count exceeds the configured cap, or the cell route
+    is asked for a dimension above ``regions.MAX_CELL_DIM``."""
 
 
 class TheoremViolation(TorusArrError):

@@ -52,7 +52,8 @@ def components_pair(a, b, *, chain: BezoutChain | None = None) -> int:
     When a[0] = a[1] = 0 the leading denominator would vanish, so the first
     nonzero entry of a is first swapped into position 0 (the same
     transposition is applied to b). Transpositions are lattice
-    automorphisms, hence the count is unchanged.
+    automorphisms, hence the count is unchanged. After the swap a[0] or
+    a[1] is nonzero, so every g_j with j >= 1 is positive.
 
     ``chain`` lets callers supply any valid Bezout chain for a (after the
     swap rule above does not apply); the result is independent of that
@@ -91,16 +92,11 @@ def components_pair(a, b, *, chain: BezoutChain | None = None) -> int:
     for j in range(1, len(va)):
         g = chain.gcds[j - 1]
         numerator = va[j] * sum(bi * ui for bi, ui in zip(vb, u_prev)) - vb[j] * g_prev
-        if g == 0:
-            if numerator != 0:
-                raise RuntimeError("internal: zero prefix gcd with nonzero numerator")
-            terms.append(0)
-        else:
-            if numerator % g:
-                raise RuntimeError(
-                    f"internal: non-exact division {numerator}/{g} in nested-gcd formula"
-                )
-            terms.append(numerator // g)
+        if numerator % g:
+            raise RuntimeError(
+                f"internal: non-exact division {numerator}/{g} in nested-gcd formula"
+            )
+        terms.append(numerator // g)
         g_prev = g
         u_prev = chain.coeffs[j - 1]
 

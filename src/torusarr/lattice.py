@@ -112,7 +112,6 @@ class BezoutChain:
         a = self.vector
         if len(self.gcds) != len(a) - 1 or len(self.coeffs) != len(a) - 1:
             raise InvalidInput("chain length does not match vector length")
-        prev = abs(a[0])
         for j, (g, u) in enumerate(zip(self.gcds, self.coeffs), start=1):
             if g != math.gcd(*(abs(x) for x in a[: j + 1])):
                 raise InvalidInput(f"stored gcd {g} wrong at prefix length {j + 1}")
@@ -120,12 +119,6 @@ class BezoutChain:
                 raise InvalidInput("certificate length mismatch")
             if sum(ai * ui for ai, ui in zip(a, u)) != g:
                 raise InvalidInput(f"certificate does not realize gcd at prefix {j + 1}")
-            if g == 0:
-                if prev != 0:
-                    raise InvalidInput("gcd grew back to zero")
-            elif prev % g:
-                raise InvalidInput("prefix gcds do not form a divisibility chain")
-            prev = g
 
 
 def bezout_chain(a) -> BezoutChain:
@@ -178,17 +171,6 @@ def det_int(rows) -> int:
     return sign * m[-1][-1]
 
 
-def is_unimodular(m) -> bool:
-    """True when m is a square integer matrix with determinant exactly 1."""
-    try:
-        rows = tuple(as_intvec(r) for r in m)
-    except InvalidInput:
-        return False
-    if not rows or any(len(r) != len(rows) for r in rows):
-        return False
-    return det_int(rows) == 1
-
-
 def complete_to_unimodular(a) -> IntMatrix:
     """Return M (rows) with det(M) = 1 and a @ M = (1, 0, ..., 0).
 
@@ -224,18 +206,6 @@ def covector_times_matrix(a, m) -> IntVec:
         raise DimensionMismatch("vector/matrix size mismatch")
     width = len(rows[0])
     return tuple(sum(vec[i] * rows[i][j] for i in range(len(vec))) for j in range(width))
-
-
-def matmul_int(m1, m2) -> IntMatrix:
-    rows1 = tuple(as_intvec(r) for r in m1)
-    rows2 = tuple(as_intvec(r) for r in m2)
-    if len(rows2) != len(rows1[0]):
-        raise DimensionMismatch("inner matrix dimensions differ")
-    width = len(rows2[0])
-    return tuple(
-        tuple(sum(rows1[i][k] * rows2[k][j] for k in range(len(rows2))) for j in range(width))
-        for i in range(len(rows1))
-    )
 
 
 def hyperplane_metrics(a) -> tuple[Fraction, Fraction]:

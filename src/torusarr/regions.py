@@ -160,12 +160,12 @@ def _sheet_range(s: Subtorus) -> range:
 
     The affine form's range over [0, 1]^d runs from lo, the sum of the
     negative coefficients, to hi, the sum of the positive ones, so k runs
-    from ceil(lo - offset) to floor(hi - offset), computed in integers.
+    from ceil(lo - offset) to floor(hi - offset). With the offset in
+    [0, 1) and lo, hi integers, that is lo to hi - 1, or to hi at offset 0.
     """
     lo = sum(min(x, 0) for x in s.normal)
     hi = sum(max(x, 0) for x in s.normal)
-    p, q = s.offset.numerator, s.offset.denominator
-    return range(-((p - lo * q) // q), (hi * q - p) // q + 1)
+    return range(lo, hi + (not s.offset))
 
 
 def lift_hyperplanes(s: Subtorus, d: int) -> list[tuple[IntVec, Fraction]]:

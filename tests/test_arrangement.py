@@ -29,7 +29,7 @@ from torusarr.errors import (
     ZeroNormal,
 )
 from torusarr.feasibility import LinConstraint
-from torusarr.lattice import matmul_int
+from torusarr.lattice import covector_times_matrix
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -290,7 +290,7 @@ class TestTransform:
             arr = random_arrangement(rng, d, rng.randint(1, 3))
             m1 = random_unimodular(rng, d)
             m2 = random_unimodular(rng, d)
-            lhs = transform(arr, matmul_int(m1, m2))
+            lhs = transform(arr, tuple(covector_times_matrix(row, m2) for row in m1))
             rhs = transform(transform(arr, m1), m2)
             assert lhs == rhs
 

@@ -19,8 +19,6 @@ from torusarr.lattice import (
     gcd_vec,
     hermite_basis,
     hyperplane_metrics,
-    is_unimodular,
-    matmul_int,
     minors2_gcd,
     nonsingular_subsets,
     reduce_mod_lattice,
@@ -260,7 +258,7 @@ class TestMinors2Gcd:
             a = tuple(rng.randint(-6, 6) for _ in range(d))
             b = tuple(rng.randint(-6, 6) for _ in range(d))
             m = random_unimodular(rng, d, steps=5)
-            assert is_unimodular(m)
+            assert det_int(m) == 1
             am = covector_times_matrix(a, m)
             bm = covector_times_matrix(b, m)
             assert minors2_gcd(a, b) == minors2_gcd(am, bm)
@@ -270,11 +268,12 @@ class TestMatrixHelpers:
     def test_matmul_and_unimodular(self):
         m1 = ((1, 1), (0, 1))
         m2 = ((1, 0), (1, 1))
-        prod = matmul_int(m1, m2)
+        prod = tuple(covector_times_matrix(row, m2) for row in m1)
         assert prod == ((2, 1), (1, 1))
-        assert is_unimodular(prod)
-        assert not is_unimodular(((0, 1), (1, 0)))
-        assert not is_unimodular(((1, 2, 3),))
+        assert det_int(prod) == 1
+        assert det_int(((0, 1), (1, 0))) == -1
+        with pytest.raises(DimensionMismatch):
+            det_int(((1, 2, 3),))
 
 
 @st.composite
@@ -414,7 +413,7 @@ class TestNonsingularSubsets:
         assert chosen == tuple(range(r))
         assert spanned == ()
         assert d == det
-        assert matmul_int(rows, tuple(zip(*cols))) == tuple(
+        assert tuple(covector_times_matrix(row, tuple(zip(*cols))) for row in rows) == tuple(
             tuple(det * (i == j) for j in range(r)) for i in range(r)
         )
 
