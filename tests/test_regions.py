@@ -373,6 +373,42 @@ class TestVertexSum:
         assert count_regions(_through_origin([(1, 0), (0, 1), (1, 1), (1, -1)])) == 4
         assert listed
 
+    def test_spanned_rows_carried_through_an_inner_frame(self, monkeypatch):
+        # Four subtori through the origin of the (x1, x2) plane, x3 = 1/3
+        # and x3 + x4 = 1/2 in T^4. Two of the first four span the other
+        # two, so frames of depth 2 and 3 carry spanned rows, and in every
+        # order some basis has two active classes through one point.
+        listed = []
+
+        def listing(*args):
+            listed.append(args)
+            return _solution_box(*args)
+
+        monkeypatch.setattr(regions, "_solution_box", listing)
+        tori = [
+            ((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0), ((1, 1, 0, 0), 0), ((1, -1, 0, 0), 0),
+            ((0, 0, 1, 0), F(1, 3)), ((0, 0, 1, 1), F(1, 2)),
+        ]
+        arr = Arrangement(4, tuple(subtorus_from_equation(a, c) for a, c in tori))
+        assert build_cells(arr, glue=True).region_count == 4
+        for order in itertools.permutations(arr.tori):
+            listed.clear()
+            assert count_regions(Arrangement(4, order)) == 4
+            assert listed
+
+    def test_pinned_degenerate_corpus(self):
+        # 3000 small degenerate inputs: normals in {-2..2}^d, offsets of
+        # denominator at most 4. The sum, the number of distinct counts and
+        # a digest of the counts in draw order pin every count.
+        rng = random.Random(2026)
+        counts = []
+        for _ in range(3000):
+            d = rng.choice((2, 3, 4))
+            n = rng.randint(1, 9)
+            counts.append(count_regions(random_arrangement(rng, d, n, bound=2, max_den=4)))
+        digest = hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest()[:16]
+        assert (sum(counts), len(set(counts)), digest) == (366012, 549, "fc06a1b410af0a78")
+
     def test_several_choices_of_subtori_for_one_basis(self):
         # The basis x, y has four choices of one subtorus each; in the orders
         # where x + y = 0 and x + y = 1/2 follow both, they cover (0, 0) and

@@ -13,7 +13,6 @@ from torusarr.errors import (
 )
 from torusarr.regions import count_regions
 from torusarr.theory import (
-    FeasibleSet,
     check_bounds,
     construct_family_parallel,
     construct_family_sheared,
