@@ -6,13 +6,9 @@ hyperplane, the gcd of all 2x2 minors of a pair of vectors (used as an
 independent oracle for pairwise intersection counts), the Hermite normal
 form of an integer lattice with canonical coset representatives (used to
 identify torus regions), and the nonsingular r-subsets of some vectors in
-Z^r, each with the columns of det A^{-1} for its matrix A, the radices of
-A's lower-triangular Hermite form and the rows outside the subset that lie
-in the span of its rows with a smaller index. The last lists the
-intersection points of subtori and their no-broken-circuit bases: for
-det A dividing D, the solutions of A y = 0 (mod D) are the sums of k_i
-times column i of D A^{-1}, with 0 <= k_i < h_i, a mixed-radix box with
-no repeats.
+Z^r with the columns of det A^{-1}, the radices of A's Hermite form and
+the spanned rows, which list the intersection points of subtori and their
+no-broken-circuit bases.
 
 Everything runs on arbitrary-precision integers; no floating point anywhere.
 All functions are pure and all returned values are immutable, so the module
@@ -24,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .errors import DimensionMismatch, InvalidInput, NonPrimitive
 
@@ -300,92 +295,78 @@ def nonsingular_subsets(rows) -> tuple[tuple[IntVec, IntMatrix, int, IntVec, Int
     per class. spanned lists, in increasing order, the rows t outside the
     subset that lie in the span of its rows with an index below t.
 
-    The subsets form a tree of prefixes, and a prefix is eliminated once for
-    all its extensions. A node of j rows keeps delta = h_1 ... h_j, vectors
-    S_1..S_j with prefix @ S_i = delta e_i, and a basis of the prefix's
-    kernel that completes the pivot columns to a determinant-one matrix.
-    A child with row a runs ``_fold`` over that basis with the weights
-    a . k, so that a . u = h and a vanishes on the other basis vectors. h = 0
-    means that a lies in the prefix's span: it prunes the subtree, in which
-    every matrix is singular, and a is spanned for every subset that
-    extends the prefix by a later row. Otherwise the child keeps delta h,
-    h S_i - (a . S_i) u and delta u: r dot products per child and no
-    Gauss-Jordan elimination per subset.
-
-    Every step, inner or leaf, makes h and u and then shares the zero-pivot
-    test, the sign flip and the record. At depth r - 1 the kernel is one
-    vector v, so a leaf takes h = a . v and u = v with no fold; det A =
-    delta h, its S_i are the columns of det A^{-1}, and every row after the
-    last member is spanned. The walk, ``_nonsingular_leaves``, yields each
-    leaf with its parent's S_i and delta and its own a, h and u, from which
-    ``_child_cols`` makes the columns: here at every leaf, in
-    ``torusarr.regions.count_regions`` only at the leaves with a spanned
-    row, the only ones whose columns it reads. The rows are checked here,
-    once; the walk takes them as checked.
+    The subsets form a tree of prefixes, and ``_nonsingular_frames``
+    eliminates each prefix once for all its extensions on a tableau: a
+    prefix of j rows keeps delta = h_1 ... h_j and, for each row that may
+    still join, its coordinates against the columns of delta times the
+    prefix's inverse and against a kernel basis that completes them to
+    determinant one. A row with zero kernel coordinates lies in the
+    prefix's span: it prunes its subtree and is spanned for every later
+    extension. Row t joins by ``_fold`` over the kernel columns weighted by
+    its kernel coordinates, which yields its pivot h and a column u of
+    weight h; the other columns become h times themselves less row t's
+    entry times u, and delta u is appended. At depth r - 1 the kernel
+    column H gives the leaf ending in row t: det = delta |H[t]|, and each
+    row's coordinates against det A^{-1} take two products. The r unit
+    covectors ride along as rows never chosen: their coordinates are the
+    entries of cols. The rows are checked here; the walk trusts them.
     """
     rows = [as_intvec(a) for a in rows]
     if not rows:
         return ()
-    if any(len(a) != len(rows[0]) for a in rows):
+    r, n = len(rows[0]), len(rows)
+    if any(len(a) != r for a in rows):
         raise DimensionMismatch("rows have different lengths")
-    return tuple(
-        (chosen, _child_cols(parent), det, radices, spanned)
-        for chosen, det, radices, spanned, parent in _nonsingular_leaves(rows)
-    )
+    units = [tuple(int(i == k) for i in range(r)) for k in range(r)]
+    found = []
+    for start, chosen, delta, radices, spanned, cols, (hs,) in _nonsingular_frames(rows + units, n):
+        spanned = tuple(c for c, _ in spanned)
+        for t in range(start, n):
+            i = t - start
+            if not hs[i]:
+                spanned += (t,)
+                continue
+            h = abs(hs[i])
+            u = hs[-r:] if hs[i] > 0 else [-q for q in hs[-r:]]
+            inv = [tuple(h * p - s[i] * q for p, q in zip(s[-r:], u)) for s in cols]
+            inv.append(tuple(delta * q for q in u))
+            later = spanned + tuple(range(t + 1, n))
+            found.append((chosen + (t,), tuple(inv), delta * h, radices + (h,), later))
+    return tuple(found)
 
 
-def _child_cols(parent) -> IntMatrix:
-    """The columns h S_i - (a . S_i) u and delta u of a child, from the
-    parent's S_i (``cols``) and delta, the child's row a, pivot h and u."""
-    cols, a, h, u, delta = parent
-    new = [
-        tuple([h * p - c * q for p, q in zip(s, u)])
-        for s, c in zip(cols, [sum(map(mul, a, s)) for s in cols])
-    ]
-    new.append(tuple([delta * q for q in u]))
-    return tuple(new)
-
-
-def _nonsingular_leaves(rows):
-    """Yield (indices, det, radices, spanned, parent) for the subsets of
-    ``nonsingular_subsets``, in its order; ``_child_cols(parent)`` are
-    their cols. ``rows`` is a nonempty list of integer tuples of one
-    length, as ``nonsingular_subsets`` checks them."""
-    r = len(rows[0])
-    n, last = len(rows), r - 1
-    # A frame is one prefix: the first row that may extend it, its kernel
-    # basis, its S_i, delta, the pivots, the chosen row indices and the
-    # rows outside it spanned by the members before them.
-    eye = [tuple(int(i == k) for i in range(r)) for k in range(r)]
-    stack = [(0, eye, (), 1, (), (), ())]
+def _nonsingular_frames(rows, n):
+    """Yield the frames of depth r - 1 of the walk of ``nonsingular_subsets``
+    over the rows, in its order, choosing among the first n. A frame is
+    (start, chosen, delta, radices, spanned, cols, kernel): cols and kernel
+    hold the tableau's columns over rows start on, spanned the pairs (row,
+    coordinates against cols)."""
+    last = len(rows[0]) - 1
+    stack = [(0, (), 1, (), (), [], [list(col) for col in zip(*rows)])]
     while stack:
-        start, kernel, cols, delta, radices, chosen, spanned = stack.pop()
+        frame = stack.pop()
+        start, chosen, delta, radices, spanned, cols, kernel = frame
         j = len(chosen)
-        leaf = j == last
+        if j == last:
+            yield frame
+            continue
         children = []
         # A frame leaves room for the r - 1 - j rows still to come.
         for t in range(start, n - last + j):
-            a = rows[t]
-            if leaf:
-                # One kernel vector v: the pivot is a . v and u = v, no fold.
-                u = kernel[0]
-                h = sum(map(mul, a, u))
-            else:
-                h, u, rest = _fold([sum(map(mul, a, b)) for b in kernel], kernel)
-            if not h:
+            i = t - start
+            weights = [k[i] for k in kernel]
+            if not any(weights):
                 # Row t is in the prefix's span: in that of the smaller
                 # members of every subset that extends the prefix past t.
-                spanned += (t,)
+                spanned += ((t, [s[i] for s in cols]),)
                 continue
+            h, u, rest = _fold(weights, [k[i + 1:] for k in kernel])
             if h < 0:
-                h, u = -h, [-p for p in u]
-            parent = (cols, a, h, u, delta)
-            chosen_t, delta_t, radices_t = chosen + (t,), delta * h, radices + (h,)
-            if leaf:
-                yield chosen_t, delta_t, radices_t, spanned + tuple(range(t + 1, n)), parent
-            else:
-                children.append(
-                    (t + 1, rest, _child_cols(parent), delta_t, radices_t, chosen_t, spanned)
-                )
+                h, u = -h, [-q for q in u]
+            new = [[h * p - s[i] * q for p, q in zip(s[i + 1:], u)] for s in cols]
+            new.append([delta * q for q in u])
+            # A spanned row's other coordinates scale by h and gain a 0.
+            scaled = tuple((c, [h * p for p in pc] + [0]) for c, pc in spanned) if spanned else ()
+            children.append((t + 1, chosen + (t,), delta * h, radices + (h,), scaled, new, rest))
         # Pushed in reverse, the children pop in increasing order.
         stack.extend(reversed(children))

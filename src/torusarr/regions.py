@@ -28,33 +28,32 @@ point on exactly r subtori contributes 1.
 The points of B come from its matrix A (rows m_t, t in B): they are the
 |det A| solutions y = A^{-1} (c_B + k) mod Z^r, k in Z^r. One walk (that
 of ``torusarr.lattice.nonsingular_subsets``) finds every nonsingular set
-of r distinct normals, in the order of the classes, with det > 0, G =
-det A^{-1}, the radices h_1..h_r of A's lower-triangular Hermite form
-and the active classes: the sets form a tree of shared prefixes, each
-prefix is eliminated once for all its extensions, and a singular prefix
-prunes its subtree. h_1 ... h_i is the number of components of the
-intersection of the set's first i subtori, so h_i is the ratio of that
-count to the count for the first i - 1; h_1 = 1 since the m_t are
-primitive, and h_2 is the gcd of the 2 x 2 minors of the first two
-normals. Class c follows every member of its fundamental circuit exactly
-when m_c lies in the span of the members before it, which the walk's
-zero-pivot test decides; every class after the last member is active. A
-set with no active class adds det times the number of choices of one
-subtorus per normal, and its columns are never made. Otherwise, with Q the
-lcm of all offset denominators, Q det y = G (Q c) + Q G k over the det
-vectors k of the mixed-radix box 0 <= k_i < h_i, which holds one k per
-class of Z^r / A Z^r, and for each choice of subtori a point counts unless
-m_c . Q det y = det Q c_t (mod Q det) for some subtorus t of an active
-class c. The map k -> m_c . Q G k (mod Q det) sends the det points onto
-the multiples of g_c = Q gcd(det, m_c . G_1, ..., m_c . G_r), g_c / Q
-points on each, so t passes through g_c / Q points when det Q c_t -
-m_c . G (Q c) is a multiple of g_c and through none otherwise: one O(r)
-test per subtorus of an active class. Parallel subtori share no point, so
-a choice whose hits all lie in one class adds det less the sum of their
-g_c / Q. Only a choice with hits in two classes, whose hit sets may
-overlap, lists m_c . Q G k mod Q det for every active class over the box,
-one coordinate at a time and once per set, and counts the union of the
-points hit.
+of r distinct normals, in the order of the classes, with det > 0, the
+radices h_1..h_r of A's lower-triangular Hermite form and the active
+classes: the sets form a tree of shared prefixes, each prefix is
+eliminated once for all its extensions on a tableau of every class's
+coordinates, and a singular prefix prunes its subtree. h_1 ... h_i counts
+the components of the intersection of the set's first i subtori; h_1 = 1
+since the m_t are primitive. Class c follows every member of its
+fundamental circuit exactly when m_c lies in the span of the members
+before it, which the walk's zero-pivot test decides; every class after the
+last member is active. A set with no active class adds det times the
+number of choices of one subtorus per normal. Otherwise let
+G = det A^{-1}: each m_c . G_i is a Cramer minor, read off the walk's
+tableau in two products. With Q the lcm of all offset denominators,
+Q det y = G (Q c) + Q G k over the det vectors k of the mixed-radix box
+0 <= k_i < h_i, which holds one k per class of Z^r / A Z^r, and for each
+choice of subtori a point counts unless m_c . Q det y = det Q c_t
+(mod Q det) for some subtorus t of an active class c. The map k ->
+m_c . Q G k (mod Q det) sends the det points onto the multiples of
+g_c = Q gcd(det, m_c . G_1, ..., m_c . G_r), g_c / Q points on each, so t
+passes through g_c / Q points when det Q c_t - m_c . G (Q c) is a multiple
+of g_c and through none otherwise: one O(r) test per subtorus of an active
+class. Parallel subtori share no point, so a choice whose hits all lie in
+one class adds det less the sum of their g_c / Q. Only a choice with hits
+in two classes, whose hit sets may overlap, lists m_c . Q G k mod Q det
+for every active class over the box, one coordinate at a time and once per
+set, and counts the union of the points hit.
 
 ``build_cells`` decomposes the fundamental cube [0, 1]^d, in at most
 ``MAX_CELL_DIM`` dimensions, and ``region_witnesses`` reads its points off
@@ -106,9 +105,8 @@ from .errors import DimensionMismatch, InvalidParams, ResourceCapError
 from .feasibility import LinConstraint
 from .lattice import (
     IntVec,
-    _child_cols,
     _is_int,
-    _nonsingular_leaves,
+    _nonsingular_frames,
     hermite_basis,
     reduce_mod_lattice,
 )
@@ -418,57 +416,72 @@ def count_regions(arr: Arrangement, max_sheets: int | None = None) -> int:
     # Subtori are parallel exactly when their normals agree: no two are
     # opposite, since the a_t are sign-normalized. Activity follows the
     # order of the classes, here that of their first subtorus; any order
-    # gives the same count.
+    # gives the same count. A class lists q c_t for its subtori t.
+    q = math.lcm(*(t.offset.denominator for t in arr.tori))
     parallel: dict[IntVec, list[int]] = {}
-    for t, a in enumerate(zip(*basis)):
-        parallel.setdefault(a, []).append(t)
+    for a, t in zip(zip(*basis), arr.tori):
+        parallel.setdefault(a, []).append(t.offset.numerator * (q // t.offset.denominator))
     reps = list(parallel)
     classes = list(parallel.values())
-    q = math.lcm(*(t.offset.denominator for t in arr.tori))
-    qc = [t.offset.numerator * (q // t.offset.denominator) for t in arr.tori]
-    f = 0
-    # Every nonsingular set of r distinct normals, eliminated on a tree of
-    # shared prefixes, with the radices and the active classes: those its
-    # smaller members span. The columns of det A^{-1} are made only for a
-    # set with an active class.
-    for chosen, det, radices, active, parent in _nonsingular_leaves(reps):
-        if not active:
-            f += det * math.prod(len(classes[i]) for i in chosen)
-            continue
-        # m_c . (q det y) = (m_c . cols) (q c) + m_c . q cols k mod q det,
-        # and k -> m_c . q cols k sends the det points onto the multiples
-        # of step_c = q gcd(det, m_c . cols), step_c / q points on each.
-        cols = _child_cols(parent)
-        den = q * det
-        dots = [[sum(map(mul, reps[c], col)) for col in cols] for c in active]
-        lines = None
-        for subset in itertools.product(*[classes[i] for i in chosen]):
-            cs = [qc[t] for t in subset]
-            # The subtori of one class are disjoint, so the hits of one
-            # class remove step_c / q points each; a second hit class ends
-            # the test, and the listing counts the union.
-            lost = 0
-            for c, g in zip(active, dots):
-                b = sum(map(mul, g, cs))
-                step = q * math.gcd(det, *g)
-                k = [(det * qc[t] - b) % step for t in classes[c]].count(0)
-                if k:
-                    if lost:
-                        break
-                    lost = k * step // q
-            else:
-                f += det - lost
+    n, f = len(reps), 0
+    # In a last frame the set ending in class t has those spanned so far
+    # and those after t active.
+    for start, chosen, delta, radices, spanned, cols, (hs,) in _nonsingular_frames(reps, n):
+        pick = [classes[c] for c in chosen]
+        span_p = [pc for _, pc in spanned]
+        span_classes = [classes[c] for c, _ in spanned]
+        for t in range(start, n):
+            i = t - start
+            x = hs[i]
+            if not x:
+                span_p.append([s[i] for s in cols])
+                span_classes.append(classes[t])
                 continue
-            if lines is None:
-                lines = _solution_box(list(zip(*dots)), radices, q, den)
-            hit: set[int] = set()
-            for c, g, line in zip(active, dots, lines):
-                b = sum(map(mul, g, cs))
-                for t in classes[c]:
-                    s = (det * qc[t] - b) % den
-                    if s in line:
-                        hit.update(itertools.compress(range(det), map(s.__eq__, line)))
-            f += det - len(hit)
+            h = abs(x)
+            det = delta * h
+            if not span_p and t == n - 1:
+                f += det * math.prod(map(len, pick)) * len(classes[t])
+                continue
+            # m_c . G_i = +-det(A with row i set to m_c) is h P[c]_i -
+            # P[t]_i u[c], or delta u[c] at i = r: P[c] is row c in cols and
+            # u = sgn(x) hs, 0 when c is spanned.
+            u = hs[i + 1:] if x > 0 else [-y for y in hs[i + 1:]]
+            pt = [s[i] for s in cols]
+            dots = [[h * p for p in pc] + [0] for pc in span_p]
+            dots += [
+                [h * s[k] - p * y for s, p in zip(cols, pt)] + [delta * y]
+                for k, y in enumerate(u, i + 1)
+            ]
+            active = span_classes + classes[t + 1:]
+            # Subtorus x of class c hits when det q c_x = m_c . G (q c) mod
+            # step_c = q gcd(det, m_c . G).
+            steps = [q * math.gcd(det, *g) for g in dots]
+            residues = [[det * qc % step for qc in cl] for cl, step in zip(active, steps)]
+            lines = None
+            for cs in itertools.product(*pick, classes[t]):
+                # The subtori of one class are disjoint, so the hits of one
+                # class remove step_c / q points each; a second hit class
+                # ends the test, and the listing counts the union.
+                lost = 0
+                for g, step, res in zip(dots, steps, residues):
+                    k = res.count(sum(map(mul, g, cs)) % step)
+                    if k:
+                        if lost:
+                            break
+                        lost = k * step // q
+                else:
+                    f += det - lost
+                    continue
+                if lines is None:
+                    lines = _solution_box(list(zip(*dots)), radices + (h,), q, q * det)
+                hit: set[int] = set()
+                for offsets, g, line in zip(active, dots, lines):
+                    b = sum(map(mul, g, cs))
+                    for qc in offsets:
+                        s = (det * qc - b) % (q * det)
+                        if s in line:
+                            hit.update(itertools.compress(range(det), map(s.__eq__, line)))
+                f += det - len(hit)
     return f
 
 
