@@ -429,32 +429,32 @@ def count_regions(arr: Arrangement, max_sheets: int | None = None) -> int:
     for start, chosen, delta, radices, spanned, cols, (hs,) in _nonsingular_frames(reps, n):
         pick = [classes[c] for c in chosen]
         span_p = [pc for _, pc in spanned]
-        span_classes = [classes[c] for c, _ in spanned]
+        span_cls = [classes[c] for c, _ in spanned]
         for t in range(start, n):
             i = t - start
-            x = hs[i]
-            if not x:
+            ht = hs[i]
+            if not ht:
                 span_p.append([s[i] for s in cols])
-                span_classes.append(classes[t])
+                span_cls.append(classes[t])
                 continue
-            h = abs(x)
+            h = abs(ht)
             det = delta * h
             if not span_p and t == n - 1:
                 f += det * math.prod(map(len, pick)) * len(classes[t])
                 continue
             # m_c . G_i = +-det(A with row i set to m_c) is h P[c]_i -
             # P[t]_i u[c], or delta u[c] at i = r: P[c] is row c in cols and
-            # u = sgn(x) hs, 0 when c is spanned.
-            u = hs[i + 1:] if x > 0 else [-y for y in hs[i + 1:]]
+            # u = sgn(ht) hs, 0 when c is spanned.
+            u = hs[i + 1:] if ht > 0 else [-y for y in hs[i + 1:]]
             pt = [s[i] for s in cols]
             dots = [[h * p for p in pc] + [0] for pc in span_p]
             dots += [
                 [h * s[k] - p * y for s, p in zip(cols, pt)] + [delta * y]
                 for k, y in enumerate(u, i + 1)
             ]
-            active = span_classes + classes[t + 1:]
-            # Subtorus x of class c hits when det q c_x = m_c . G (q c) mod
-            # step_c = q gcd(det, m_c . G).
+            active = span_cls + classes[t + 1:]
+            # A subtorus of class c, offset c', hits when det q c' =
+            # m_c . G (q c) mod step_c = q gcd(det, m_c . G).
             steps = [q * math.gcd(det, *g) for g in dots]
             residues = [[det * qc % step for qc in cl] for cl, step in zip(active, steps)]
             lines = None
