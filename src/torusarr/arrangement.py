@@ -259,7 +259,11 @@ def format_tarr(arr: Arrangement, header: str | None = None) -> str:
 
 def load_tarr(path) -> Arrangement:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_tarr(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"byte {exc.start}: not UTF-8 text") from None
+    return parse_tarr(text)
 
 
 def save_tarr(arr: Arrangement, path, header: str | None = None) -> None:

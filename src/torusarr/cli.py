@@ -124,7 +124,10 @@ def _cmd_construct(args) -> _Output:
     header = f"constructed: d={args.d} n={args.n} f={args.f} (verified)"
     payload = {"command": "construct", "d": args.d, "n": args.n, "f": args.f}
     if args.output:
-        save_tarr(arr, args.output, header=header)
+        try:
+            save_tarr(arr, args.output, header=header)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.output}: {exc}") from None
         payload["path"] = args.output
         if not args.json:
             print(f"wrote {args.output}", file=sys.stderr)

@@ -305,11 +305,10 @@ def nonsingular_subsets(rows) -> tuple[tuple[IntVec, IntMatrix, int, IntVec, Int
     extension. Row t joins by ``_fold`` over the kernel columns weighted by
     its kernel coordinates, which yields its pivot h and a column u of
     weight h; the other columns become h times themselves less row t's
-    entry times u, and delta u is appended. At depth r - 1 the kernel
-    column H gives the leaf ending in row t: det = delta |H[t]|, and each
-    row's coordinates against det A^{-1} take two products. The r unit
-    covectors ride along as rows never chosen: their coordinates are the
-    entries of cols. The rows are checked here; the walk trusts them.
+    entry times u, and delta u is appended. Here the walk stops at depth r:
+    each frame is one subset, its delta is det, and the r unit covectors,
+    which ride along as rows never chosen, have the entries of cols as
+    coordinates. The rows are checked here; the walk trusts them.
     """
     rows = [as_intvec(a) for a in rows]
     if not rows:
@@ -318,26 +317,17 @@ def nonsingular_subsets(rows) -> tuple[tuple[IntVec, IntMatrix, int, IntVec, Int
     if any(len(a) != r for a in rows):
         raise DimensionMismatch("rows have different lengths")
     units = [tuple(int(i == k) for i in range(r)) for k in range(r)]
-    found = []
-    for start, chosen, delta, radices, spanned, cols, (hs,) in _nonsingular_frames(rows + units, n):
-        spanned = tuple(c for c, _ in spanned)
-        for t in range(start, n):
-            i = t - start
-            if not hs[i]:
-                spanned += (t,)
-                continue
-            h = abs(hs[i])
-            u = hs[-r:] if hs[i] > 0 else [-q for q in hs[-r:]]
-            inv = [tuple(h * p - s[i] * q for p, q in zip(s[-r:], u)) for s in cols]
-            inv.append(tuple(delta * q for q in u))
-            later = spanned + tuple(range(t + 1, n))
-            found.append((chosen + (t,), tuple(inv), delta * h, radices + (h,), later))
-    return tuple(found)
+    return tuple(
+        (chosen, tuple(tuple(s[-r:]) for s in cols), det, radices,
+         tuple(c for c, _ in spanned) + tuple(range(start, n)))
+        for start, chosen, det, radices, spanned, cols, _ in _nonsingular_frames(rows + units, n, r)
+    )
 
 
-def _nonsingular_frames(rows, n):
-    """Yield the frames of depth r - 1 of the walk of ``nonsingular_subsets``
-    over the rows, in its order, choosing among the first n. A frame is
+def _nonsingular_frames(rows, n, depth):
+    """Yield the walk's frames of the depth its caller asks for, at most r,
+    in the order of ``nonsingular_subsets``, and go no deeper. Rows are
+    chosen among the first n, in prefixes with room for r rows. A frame is
     (start, chosen, delta, radices, spanned, cols, kernel): cols and kernel
     hold the tableau's columns over rows start on, spanned the pairs (row,
     coordinates against cols)."""
@@ -347,7 +337,7 @@ def _nonsingular_frames(rows, n):
         frame = stack.pop()
         start, chosen, delta, radices, spanned, cols, kernel = frame
         j = len(chosen)
-        if j == last:
+        if j == depth:
             yield frame
             continue
         children = []

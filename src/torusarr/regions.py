@@ -26,21 +26,22 @@ classes of parallel subtori alone, ordered by their first subtorus; a
 point on exactly r subtori contributes 1.
 
 The points of B come from its matrix A (rows m_t, t in B): they are the
-|det A| solutions y = A^{-1} (c_B + k) mod Z^r, k in Z^r. One walk (that
-of ``torusarr.lattice.nonsingular_subsets``) finds every nonsingular set
-of r distinct normals, in the order of the classes, with det > 0, the
-radices h_1..h_r of A's lower-triangular Hermite form and the active
-classes: the sets form a tree of shared prefixes, each prefix is
-eliminated once for all its extensions on a tableau of every class's
-coordinates, and a singular prefix prunes its subtree. h_1 ... h_i counts
-the components of the intersection of the set's first i subtori; h_1 = 1
-since the m_t are primitive. Class c follows every member of its
-fundamental circuit exactly when m_c lies in the span of the members
+|det A| solutions y = A^{-1} (c_B + k) mod Z^r, k in Z^r. The tableau walk
+of ``torusarr.lattice.nonsingular_subsets`` finds every nonsingular set of
+r distinct normals, in the order of the classes, with det > 0, the radices
+h_1..h_r of A's lower-triangular Hermite form and the active classes.
+h_1 ... h_i counts the components of the intersection of the set's first i
+subtori; h_1 = 1 since the m_t are primitive. Class c follows every member
+of its fundamental circuit exactly when m_c lies in the span of the members
 before it, which the walk's zero-pivot test decides; every class after the
 last member is active. A set with no active class adds det times the
 number of choices of one subtorus per normal. Otherwise let
-G = det A^{-1}: each m_c . G_i is a Cramer minor, read off the walk's
-tableau in two products. With Q the lcm of all offset denominators,
+G = det A^{-1}: each m_c . G_i is a Cramer minor. The count stops the walk
+at depth r - 1, where P[c] is class c's row against the prefix's columns
+and H the one kernel column, and takes the last step itself: the set
+ending in class t has h = |H[t]|, det = delta h and, with u = sgn(H[t]) H,
+m_c . G_i = h P[c]_i - P[t]_i u[c] for i < r and delta u[c] for i = r.
+With Q the lcm of all offset denominators,
 Q det y = G (Q c) + Q G k over the det vectors k of the mixed-radix box
 0 <= k_i < h_i, which holds one k per class of Z^r / A Z^r, and for each
 choice of subtori a point counts unless m_c . Q det y = det Q c_t
@@ -426,7 +427,9 @@ def count_regions(arr: Arrangement, max_sheets: int | None = None) -> int:
     n, f = len(reps), 0
     # In a last frame the set ending in class t has those spanned so far
     # and those after t active.
-    for start, chosen, delta, radices, spanned, cols, (hs,) in _nonsingular_frames(reps, n):
+    for start, chosen, delta, radices, spanned, cols, (hs,) in _nonsingular_frames(
+        reps, n, len(basis) - 1
+    ):
         pick = [classes[c] for c in chosen]
         span_p = [pc for _, pc in spanned]
         span_cls = [classes[c] for c, _ in spanned]

@@ -12,6 +12,7 @@ from torusarr.arrangement import (
     Arrangement,
     Subtorus,
     format_tarr,
+    load_tarr,
     max_parallel_count,
     parse_tarr,
     subtorus_from_equation,
@@ -403,6 +404,13 @@ class TestTarrFormat:
             parse_tarr("".join(chars))
         except TorusArrError:
             pass
+
+    @pytest.mark.parametrize("data, byte", [(b"\xff\xfe", 0), (b"dim 1\n1 : 1/2 # \xe9\n", 16)])
+    def test_load_rejects_bytes_that_are_not_utf8(self, tmp_path, data, byte):
+        path = tmp_path / "bad.tarr"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=f"^byte {byte}: not UTF-8 text$"):
+            load_tarr(path)
 
     def test_duplicates_detected_on_parse(self):
         with pytest.raises(DuplicateSubtorus):

@@ -86,6 +86,16 @@ class TestCount:
         assert main(["count", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["count"], ["count", "--json"], ["verify"], ["bounds"], ["intersect", "--pair", "1", "2"]],
+    )
+    def test_file_that_is_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.tarr"
+        path.write_bytes(b"\xff\xfe")
+        assert main([command[0], str(path), *command[1:]]) == 1
+        assert capsys.readouterr() == ("", "error: byte 0: not UTF-8 text\n")
+
     def test_max_sheets_flag_and_env(self, family_a, capsys, monkeypatch):
         assert main(["count", family_a, "--max-sheets", "2"]) == 3
         assert "exceeding the cap" in capsys.readouterr().err
@@ -215,6 +225,15 @@ class TestConstruct:
             + "}\n",
             "",
         )
+
+    @pytest.mark.parametrize("json_opt", [[], ["--json"]])
+    @pytest.mark.parametrize("target", ["", "missing/made.tarr"])
+    def test_unwritable_output(self, tmp_path, capsys, json_opt, target):
+        out = str(tmp_path / target)
+        assert main(["construct", "3", "5", "3", "-o", out, *json_opt]) == 1
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith(f"cannot write {out}: ") and stderr.count("\n") == 1
 
     def test_json_embeds_tarr(self, tmp_path, capsys):
         assert main(["construct", "3", "5", "3", "--json"]) == 0
