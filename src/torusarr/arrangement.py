@@ -203,10 +203,11 @@ def _parse_rational(token: str, lineno: int) -> Fraction:
 
 
 def parse_tarr(text: str) -> Arrangement:
-    """Parse .tarr text into an Arrangement."""
+    """Parse .tarr text into an Arrangement; one leading U+FEFF (a byte-order
+    mark some editors write) is ignored."""
     dim: int | None = None
     tori: list[Subtorus] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

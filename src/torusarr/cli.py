@@ -7,8 +7,8 @@ otherwise, so results have one path to stdout. The only thing a ``_cmd_*``
 prints itself is ``construct -o``'s ``wrote FILE`` note, on stderr and in
 text mode only. Every subcommand accepts ``--json``, a stable
 machine-readable schema in which all rationals are exact "p/q" strings.
-Diagnostics go to stderr: errors, the bound report of a violation, and that
-``wrote FILE`` note.
+Diagnostics go to stderr: that ``wrote FILE`` note, and for every failure
+one ``error: <message>`` line, which a violated bound follows with its report.
 Exit codes: 0 success, 1 parse or validation error, 2 unachievable count
 requested, 3 resource cap exceeded, 4 violated bound (counter bug).
 """
@@ -24,6 +24,7 @@ from fractions import Fraction
 from . import __version__
 from .arrangement import Arrangement, format_tarr, load_tarr, save_tarr
 from .errors import (
+    InvalidParams,
     NotFeasible,
     ResourceCapError,
     TheoremViolation,
@@ -38,19 +39,20 @@ EXIT_ERROR = 1
 EXIT_NOT_FEASIBLE = 2
 EXIT_RESOURCE_CAP = 3
 EXIT_THEOREM_VIOLATION = 4
+_EXIT_CODES = {  # every other TorusArrError exits EXIT_ERROR
+    NotFeasible: EXIT_NOT_FEASIBLE,
+    ResourceCapError: EXIT_RESOURCE_CAP,
+    TheoremViolation: EXIT_THEOREM_VIOLATION,
+}
 
 ENV_MAX_SHEETS = "TORUSARR_MAX_SHEETS"
 
 _Output = tuple[dict, list[str], int]  # (JSON payload, text lines, exit code)
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # map argparse's exit(2) onto exit 1
-        raise _UsageError(f"{self.prog}: error: {message}")
+        raise InvalidParams(f"{self.prog}: {message}")
 
 
 def _frac_str(x: Fraction) -> str:
@@ -65,7 +67,7 @@ def _max_sheets(args) -> int | None:
         try:
             return int(env)
         except ValueError:
-            raise _UsageError(f"{ENV_MAX_SHEETS} must be an integer, got {env!r}") from None
+            raise InvalidParams(f"{ENV_MAX_SHEETS} must be an integer, got {env!r}") from None
     return None
 
 
@@ -73,7 +75,7 @@ def _load(path: str) -> Arrangement:
     try:
         return load_tarr(path)
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from None
+        raise InvalidParams(f"cannot read {path}: {exc}") from None
 
 
 def _cmd_count(args) -> _Output:
@@ -96,9 +98,9 @@ def _cmd_intersect(args) -> _Output:
     arr = _load(args.file)
     i, j = args.pair
     if not (1 <= i <= arr.n and 1 <= j <= arr.n):
-        raise _UsageError(f"--pair indices must be in 1..{arr.n}")
+        raise InvalidParams(f"--pair indices must be in 1..{arr.n}")
     if i == j:
-        raise _UsageError("--pair needs two different subtorus indices")
+        raise InvalidParams("--pair needs two different subtorus indices")
     count = components_pair(arr.tori[i - 1].normal, arr.tori[j - 1].normal)
     payload = {"command": "intersect", "d": arr.dim, "n": arr.n, "pair": [i, j], "f": count}
     return payload, [f"components = {count}"], EXIT_OK
@@ -127,7 +129,7 @@ def _cmd_construct(args) -> _Output:
         try:
             save_tarr(arr, args.output, header=header)
         except OSError as exc:
-            raise _UsageError(f"cannot write {args.output}: {exc}") from None
+            raise InvalidParams(f"cannot write {args.output}: {exc}") from None
         payload["path"] = args.output
         if not args.json:
             print(f"wrote {args.output}", file=sys.stderr)
@@ -250,24 +252,12 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         payload, lines, code = args.func(args)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_ERROR
-    except NotFeasible as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_FEASIBLE
-    except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE_CAP
-    except TheoremViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.report is not None:
-            for line in _report_lines(exc.report):
-                print(line, file=sys.stderr)
-        return EXIT_THEOREM_VIOLATION
     except TorusArrError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        if isinstance(exc, TheoremViolation) and exc.report is not None:
+            for line in _report_lines(exc.report):
+                print(line, file=sys.stderr)
+        return next((c for t, c in _EXIT_CODES.items() if isinstance(exc, t)), EXIT_ERROR)
     if args.json:
         print(json.dumps(payload, ensure_ascii=False))
     else:

@@ -405,7 +405,15 @@ class TestTarrFormat:
         except TorusArrError:
             pass
 
-    @pytest.mark.parametrize("data, byte", [(b"\xff\xfe", 0), (b"dim 1\n1 : 1/2 # \xe9\n", 16)])
+    def test_one_leading_byte_order_mark_is_ignored(self):
+        assert parse_tarr("\ufeffdim 1\n1 : 1/2\n") == parse_tarr("dim 1\n1 : 1/2\n")
+        with pytest.raises(ParseError, match="^line 1: expected 'dim <d>'"):
+            parse_tarr("\ufeff\ufeffdim 1\n")
+
+    @pytest.mark.parametrize(
+        "data, byte",
+        [(b"\xff\xfe", 0), (b"dim 1\n1 : 1/2 # \xe9\n", 16), (b"\xef\xbb\xbfdim 1\n\xff", 9)],
+    )
     def test_load_rejects_bytes_that_are_not_utf8(self, tmp_path, data, byte):
         path = tmp_path / "bad.tarr"
         path.write_bytes(data)

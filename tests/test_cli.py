@@ -96,6 +96,12 @@ class TestCount:
         assert main([command[0], str(path), *command[1:]]) == 1
         assert capsys.readouterr() == ("", "error: byte 0: not UTF-8 text\n")
 
+    def test_file_with_byte_order_mark(self, tmp_path, capsys):
+        path = tmp_path / "bom.tarr"
+        path.write_bytes(b"\xef\xbb\xbfdim 1\n1 : 1/2\n")
+        assert main(["count", str(path)]) == 0
+        assert capsys.readouterr() == ("f = 1\n", "")
+
     def test_max_sheets_flag_and_env(self, family_a, capsys, monkeypatch):
         assert main(["count", family_a, "--max-sheets", "2"]) == 3
         assert "exceeding the cap" in capsys.readouterr().err
@@ -233,7 +239,7 @@ class TestConstruct:
         assert main(["construct", "3", "5", "3", "-o", out, *json_opt]) == 1
         stdout, stderr = capsys.readouterr()
         assert stdout == ""
-        assert stderr.startswith(f"cannot write {out}: ") and stderr.count("\n") == 1
+        assert stderr.startswith(f"error: cannot write {out}: ") and stderr.count("\n") == 1
 
     def test_json_embeds_tarr(self, tmp_path, capsys):
         assert main(["construct", "3", "5", "3", "--json"]) == 0
@@ -371,3 +377,39 @@ class TestParsing:
 
     def test_bad_int(self, capsys):
         assert main(["feasible", "two", "3"]) == 1
+
+
+class TestFailures:
+    @pytest.mark.parametrize(
+        "argv, env, code",
+        [
+            pytest.param(["count", "{missing}"], {}, 1, id="unreadable-file"),
+            pytest.param(["count", "{not_utf8}"], {}, 1, id="not-utf8"),
+            pytest.param(["count"], {}, 1, id="missing-argument"),
+            pytest.param(["frobnicate"], {}, 1, id="unknown-command"),
+            pytest.param(["feasible", "two", "3"], {}, 1, id="bad-int"),
+            pytest.param(["count", "{family_a}"], {"TORUSARR_MAX_SHEETS": "x"}, 1, id="bad-env-cap"),
+            pytest.param(["intersect", "{family_a}", "--pair", "1", "9"], {}, 1, id="pair-range"),
+            pytest.param(["intersect", "{family_a}", "--pair", "2", "2"], {}, 1, id="pair-equal"),
+            pytest.param(["construct", "3", "5", "3", "-o", "{dir}"], {}, 1, id="unwritable-output"),
+            pytest.param(["construct", "3", "8", "9"], {}, 2, id="not-feasible"),
+            pytest.param(["count", "{family_a}", "--max-sheets", "2"], {}, 3, id="sheet-cap"),
+        ],
+    )
+    def test_one_error_line_and_exit_code(
+        self, family_a, tmp_path, capsys, monkeypatch, argv, env, code
+    ):
+        not_utf8 = tmp_path / "not_utf8.tarr"
+        not_utf8.write_bytes(b"\xff\xfe")
+        paths = {
+            "family_a": family_a,
+            "missing": str(tmp_path / "nope.tarr"),
+            "not_utf8": str(not_utf8),
+            "dir": str(tmp_path),
+        }
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main([arg.format(**paths) for arg in argv]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
