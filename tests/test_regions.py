@@ -409,6 +409,19 @@ class TestVertexSum:
         digest = hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest()[:16]
         assert (sum(counts), len(set(counts)), digest) == (366012, 549, "fc06a1b410af0a78")
 
+    def test_pinned_parallel_classes_corpus(self):
+        # 400 inputs with normals in {-1..1}^d and offsets of denominator at
+        # most 6: several parallel subtori per class, and choices with hits
+        # in two classes that reach the listing. Pinned as above.
+        rng = random.Random(2027)
+        counts = []
+        for _ in range(400):
+            d = rng.choice((3, 4, 5))
+            n = rng.randint(6, 10)
+            counts.append(count_regions(random_arrangement(rng, d, n, bound=1, max_den=6)))
+        digest = hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest()[:16]
+        assert (sum(counts), len(set(counts)), digest) == (57317, 203, "1a8285aaa763c45c")
+
     def test_several_choices_of_subtori_for_one_basis(self):
         # The basis x, y has four choices of one subtorus each; in the orders
         # where x + y = 0 and x + y = 1/2 follow both, they cover (0, 0) and
