@@ -60,18 +60,18 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _fold(weights, vectors):
-    """Fold ``vectors`` into u of weight h = +-gcd(weights) and rest, the
-    others in order, each of weight 0; the weights are one linear form's
-    values on the vectors. Each later vector of nonzero weight w is mixed
-    with u by [[x, -w/g], [y, h/g]], (g, x, y) = xgcd(h, w), of determinant
-    (x h + y w)/g = 1. Zero weights are skipped, so h < 0 only when the
-    first weight is the only nonzero one.
+def _fold(vectors, i):
+    """Fold ``vectors``, weighted by their entries at i, into u of weight
+    h = +-gcd(weights) and rest, the others in order, of weight 0; all are
+    returned as the entries after i. Each later vector of nonzero weight w
+    is mixed with u by [[x, -w/g], [y, h/g]], (g, x, y) = xgcd(h, w), of
+    determinant (x h + y w)/g = 1. Zero weights are skipped, so h < 0 only
+    when the first weight is the only nonzero one.
     """
-    pairs = zip(weights, vectors)
-    h, u = next(pairs)
+    h, u = vectors[0][i], vectors[0][i + 1:]
     rest = []
-    for w, v in pairs:
+    for v in vectors[1:]:
+        w, v = v[i], v[i + 1:]
         if w:
             g, x, y = xgcd(h, w)
             hg, wg = h // g, w // g
@@ -170,7 +170,7 @@ def complete_to_unimodular(a) -> IntMatrix:
     """Return M (rows) with det(M) = 1 and a @ M = (1, 0, ..., 0).
 
     In the coordinates y = M^{-1} x the hyperplane sum(a_i x_i) = c becomes
-    y_1 = c. Built by ``_fold`` over the identity columns; the result is one
+    y_1 = c. M's columns come from ``_fold`` of the (a_j,) + e_j at 0: one
     valid completion among many, and only the postcondition is contractual.
     """
     vec = as_intvec(a)
@@ -181,9 +181,7 @@ def complete_to_unimodular(a) -> IntMatrix:
         # The only 1x1 determinant-one matrix is (1), which cannot map
         # (-1,) to (1,); every other primitive vector has a completion.
         raise InvalidInput("(-1,) admits no determinant-one completion in dimension 1")
-    # Column j of the identity has weight vec[j]; the folded columns are
-    # those of M.
-    h, u, rest = _fold(vec, [tuple(int(i == j) for i in range(d)) for j in range(d)])
+    h, u, rest = _fold([(x, *(int(i == j) for i in range(d))) for j, x in enumerate(vec)], 0)
     if h == -1:
         # A lone -1 in position 0 (d >= 2): flip two columns.
         h, u, rest[0] = 1, [-x for x in u], [-x for x in rest[0]]
@@ -239,8 +237,8 @@ def hermite_basis(vectors) -> IntMatrix:
     b_i is zero before p_i, b_i[p_i] > 0, and every earlier row has its
     entry at p_i reduced into [0, b_i[p_i]). The basis depends only on the
     lattice, not on the generators (Cohen, A Course in Computational
-    Algebraic Number Theory, section 2.4). Each column's live rows are
-    combined by ``_fold``, so the lattice never changes.
+    Algebraic Number Theory, section 2.4). Each column's live rows, zero
+    before it, are combined by ``_fold``, so the lattice never changes.
     """
     rows = [list(as_intvec(v)) for v in vectors]
     if any(len(r) != len(rows[0]) for r in rows):
@@ -252,10 +250,10 @@ def hermite_basis(vectors) -> IntMatrix:
         rest = [r for r in rows if not r[col]]
         live = [r for r in rows if r[col]]
         if live:
-            _, pivot, folded = _fold([r[col] for r in live], live)
-            rest += [r for r in folded if any(r)]
-            if pivot[col] < 0:
-                pivot = [-u for u in pivot]
+            h, u, folded = _fold(live, col)
+            zeros = [0] * (col + 1)
+            rest += [zeros + r for r in folded if any(r)]
+            pivot = zeros[:col] + ([h] + u if h > 0 else [-h] + [-x for x in u])
             for b in basis:
                 q = b[col] // pivot[col]
                 if q:
@@ -300,15 +298,15 @@ def nonsingular_subsets(rows) -> tuple[tuple[IntVec, IntMatrix, int, IntVec, Int
     prefix of j rows keeps delta = h_1 ... h_j and, for each row that may
     still join, its coordinates against the columns of delta times the
     prefix's inverse and against a kernel basis that completes them to
-    determinant one. A row with zero kernel coordinates lies in the
-    prefix's span: it prunes its subtree and is spanned for every later
-    extension. Row t joins by ``_fold`` over the kernel columns weighted by
-    its kernel coordinates, which yields its pivot h and a column u of
-    weight h; the other columns become h times themselves less row t's
-    entry times u, and delta u is appended. Here the walk stops at depth r:
-    each frame is one subset, its delta is det, and the r unit covectors,
-    which ride along as rows never chosen, have the entries of cols as
-    coordinates. The rows are checked here; the walk trusts them.
+    determinant one. Row t joins by ``_fold`` over the kernel columns
+    weighted by its kernel coordinates, which yields its pivot h and a
+    column u of weight h. h = 0 when those are zero: row t lies in the
+    prefix's span, prunes its subtree and is spanned for every later
+    extension. Otherwise the other columns become h times themselves less
+    row t's entry times u, and delta u is appended. Here the walk stops at
+    depth r: each frame is one subset, its delta is det, and the r unit
+    covectors, which ride along as rows never chosen, have the entries of
+    cols as coordinates. The rows are checked here; the walk trusts them.
     """
     rows = [as_intvec(a) for a in rows]
     if not rows:
@@ -344,13 +342,12 @@ def _nonsingular_frames(rows, n, depth):
         # A frame leaves room for the r - 1 - j rows still to come.
         for t in range(start, n - last + j):
             i = t - start
-            weights = [k[i] for k in kernel]
-            if not any(weights):
+            h, u, rest = _fold(kernel, i)
+            if not h:
                 # Row t is in the prefix's span: in that of the smaller
                 # members of every subset that extends the prefix past t.
                 spanned += ((t, [s[i] for s in cols]),)
                 continue
-            h, u, rest = _fold(weights, [k[i + 1:] for k in kernel])
             if h < 0:
                 h, u = -h, [-q for q in u]
             new = [[h * p - s[i] * q for p, q in zip(s[i + 1:], u)] for s in cols]

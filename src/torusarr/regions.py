@@ -431,42 +431,43 @@ def count_regions(arr: Arrangement, max_sheets: int | None = None) -> int:
         reps, n, len(basis) - 1
     ):
         pick = [classes[c] for c in chosen]
-        span_p = [pc for _, pc in spanned]
-        span_cls = [classes[c] for c, _ in spanned]
+        span = [(classes[c], pc) for c, pc in spanned]
         for t in range(start, n):
             i = t - start
             ht = hs[i]
             if not ht:
-                span_p.append([s[i] for s in cols])
-                span_cls.append(classes[t])
+                span.append((classes[t], [s[i] for s in cols]))
                 continue
             h = abs(ht)
             det = delta * h
-            if not span_p and t == n - 1:
+            if not span and t == n - 1:
                 f += det * math.prod(map(len, pick)) * len(classes[t])
                 continue
             # m_c . G_i = +-det(A with row i set to m_c) is h P[c]_i -
             # P[t]_i u[c], or delta u[c] at i = r: P[c] is row c in cols and
             # u = sgn(ht) hs, 0 when c is spanned.
-            u = hs[i + 1:] if ht > 0 else [-y for y in hs[i + 1:]]
             pt = [s[i] for s in cols]
-            dots = [[h * p for p in pc] + [0] for pc in span_p]
-            dots += [
-                [h * s[k] - p * y for s, p in zip(cols, pt)] + [delta * y]
-                for k, y in enumerate(u, i + 1)
-            ]
-            active = span_cls + classes[t + 1:]
             # A subtorus of class c, offset c', hits when det q c' =
-            # m_c . G (q c) mod step_c = q gcd(det, m_c . G).
-            steps = [q * math.gcd(det, *g) for g in dots]
-            residues = [[det * qc % step for qc in cl] for cl, step in zip(active, steps)]
+            # m_c . G (q c) mod step_c = q gcd(det, m_c . G); a test per active class.
+            tests = []
+            for cl, pc in span:
+                g = [h * p for p in pc]
+                g.append(0)
+                step = q * math.gcd(det, *g)
+                tests.append((cl, g, step, [det * qc % step for qc in cl]))
+            for k, (cl, y) in enumerate(zip(classes[t + 1:], hs[i + 1:]), i + 1):
+                y = y if ht > 0 else -y
+                g = [h * s[k] - p * y for s, p in zip(cols, pt)]
+                g.append(delta * y)
+                step = q * math.gcd(det, *g)
+                tests.append((cl, g, step, [det * qc % step for qc in cl]))
             lines = None
             for cs in itertools.product(*pick, classes[t]):
                 # The subtori of one class are disjoint, so the hits of one
                 # class remove step_c / q points each; a second hit class
                 # ends the test, and the listing counts the union.
                 lost = 0
-                for g, step, res in zip(dots, steps, residues):
+                for _, g, step, res in tests:
                     k = res.count(sum(map(mul, g, cs)) % step)
                     if k:
                         if lost:
@@ -476,9 +477,10 @@ def count_regions(arr: Arrangement, max_sheets: int | None = None) -> int:
                     f += det - lost
                     continue
                 if lines is None:
-                    lines = _solution_box(list(zip(*dots)), radices + (h,), q, q * det)
+                    _, minors, _, _ = zip(*tests)
+                    lines = _solution_box(list(zip(*minors)), radices + (h,), q, q * det)
                 hit: set[int] = set()
-                for offsets, g, line in zip(active, dots, lines):
+                for (offsets, g, _, _), line in zip(tests, lines):
                     b = sum(map(mul, g, cs))
                     for qc in offsets:
                         s = (det * qc - b) % (q * det)

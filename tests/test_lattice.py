@@ -11,6 +11,7 @@ from conftest import random_primitive_vector, random_unimodular
 from torusarr.errors import DimensionMismatch, InvalidInput, NonPrimitive
 from torusarr.lattice import (
     BezoutChain,
+    _fold,
     as_intvec,
     bezout_chain,
     complete_to_unimodular,
@@ -60,6 +61,29 @@ class TestXgcd:
         g, x, y = xgcd(a, b)
         assert g == math.gcd(a, b)
         assert a * x + b * y == g
+
+
+class TestFold:
+    def test_pivot_is_the_gcd_and_the_lattice_is_kept(self):
+        # Each vector's weight is its entry at i; h, u and rest come back as
+        # the entries after i, and [h] + u with the [0] + v of rest spans
+        # the lattice of the input tails v[i:].
+        rng = random.Random(25)
+        for _ in range(3000):
+            length = rng.randint(1, 5)
+            vectors = [
+                [rng.randint(-5, 5) for _ in range(length)] for _ in range(rng.randint(1, 4))
+            ]
+            i = rng.randrange(length)
+            weights = [v[i] for v in vectors]
+            h, u, rest = _fold(vectors, i)
+            assert abs(h) == math.gcd(*weights)
+            if h < 0:
+                assert weights[0] < 0 and not any(weights[1:])
+            assert len(rest) == len(vectors) - 1
+            assert all(len(v) == length - i - 1 for v in [u, *rest])
+            tails = hermite_basis([v[i:] for v in vectors])
+            assert hermite_basis([[h, *u], *([0, *v] for v in rest)]) == tails
 
 
 class TestBezoutChain:
