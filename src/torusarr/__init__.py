@@ -24,7 +24,6 @@ from .arrangement import (
     translate,
 )
 from .errors import (
-    BadOffsets,
     DimensionMismatch,
     DuplicateSubtorus,
     InvalidInput,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arrangement",
-    "BadOffsets",
     "BezoutChain",
     "BoundsReport",
     "CellComplex",

@@ -53,10 +53,6 @@ class ParamOutOfRange(TorusArrError):
     """Construction-family parameters outside the valid range."""
 
 
-class BadOffsets(TorusArrError):
-    """Chosen construction offsets violate the required genericity condition."""
-
-
 class NotFeasible(TorusArrError):
     """Requested region count is not achievable for the given (d, n)."""
 

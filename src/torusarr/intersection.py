@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import DimensionMismatch, InvalidInput, NonPrimitive, ParallelNormals
-from .lattice import BezoutChain, _bezout_chain, as_intvec, gcd_vec
+from .errors import DimensionMismatch, NonPrimitive, ParallelNormals
+from .lattice import as_intvec, bezout_chain, gcd_vec
 
 
 def components_coordinate(b) -> int:
@@ -37,7 +37,7 @@ def components_coordinate(b) -> int:
     return g
 
 
-def components_pair(a, b, *, chain: BezoutChain | None = None) -> int:
+def components_pair(a, b) -> int:
     """Component count of the intersection of the subtori with normals a, b.
 
     Evaluates the nested-gcd expression
@@ -49,15 +49,12 @@ def components_pair(a, b, *, chain: BezoutChain | None = None) -> int:
     because g_j divides both a[j+1] and g_{j-1}; a non-exact division
     indicates a bug and raises RuntimeError.
 
-    When a[0] = a[1] = 0 the leading denominator would vanish, so the first
-    nonzero entry of a is first swapped into position 0 (the same
-    transposition is applied to b). Transpositions are lattice
-    automorphisms, hence the count is unchanged. After the swap a[0] or
-    a[1] is nonzero, so every g_j with j >= 1 is positive.
-
-    ``chain`` lets callers supply any valid Bezout chain for a (after the
-    swap rule above does not apply); the result is independent of that
-    choice. The returned value always equals ``minors2_gcd(a, b)``.
+    When a[0] = a[1] = 0 the leading denominator would vanish, so the
+    coordinates of both a and b are first permuted to bring the first
+    nonzero entry of a to the front, the others keeping their order. A
+    coordinate permutation is a lattice automorphism, hence the count is
+    unchanged. Afterwards a[0] or a[1] is nonzero, so every g_j with j >= 1
+    is positive. The returned value always equals ``minors2_gcd(a, b)``.
     """
     va, vb = as_intvec(a), as_intvec(b)
     if len(va) != len(vb):
@@ -72,20 +69,12 @@ def components_pair(a, b, *, chain: BezoutChain | None = None) -> int:
         raise ParallelNormals(f"normals {va} and {vb} are proportional")
 
     if va[0] == 0 and va[1] == 0:
-        if chain is not None:
-            raise InvalidInput("explicit chain unsupported when a starts with (0, 0)")
         pivot = next(i for i, x in enumerate(va) if x != 0)
         order = [pivot] + [i for i in range(len(va)) if i != pivot]
         va = tuple(va[i] for i in order)
         vb = tuple(vb[i] for i in order)
 
-    if chain is None:
-        chain = _bezout_chain(va)
-    else:
-        if chain.vector != va:
-            raise InvalidInput("chain was built for a different vector")
-        chain.verify()
-
+    chain = bezout_chain(va)
     terms: list[int] = []
     g_prev = va[0]
     u_prev: tuple[int, ...] = (1,)

@@ -94,8 +94,7 @@ class BezoutChain:
     j = 1..d-1, and ``coeffs[j-1]`` is a vector u of length j+1 with
     ``sum(a[i] * u[i]) == gcds[j-1]`` exactly. Certificates are produced by
     left-to-right folding of the extended Euclidean algorithm; any other
-    valid certificate satisfies the same identity and is accepted by
-    consumers of this type.
+    valid certificate satisfies the same identity and passes ``verify``.
     """
 
     vector: IntVec
@@ -122,11 +121,7 @@ def bezout_chain(a) -> BezoutChain:
     Example: (6, 10, 15) yields gcds (2, 1) with certificates
     (2, -1) and (-14, 7, 1).
     """
-    return _bezout_chain(as_intvec(a))
-
-
-def _bezout_chain(vec: IntVec) -> BezoutChain:
-    """``bezout_chain`` for a vector already checked by ``as_intvec``."""
+    vec = as_intvec(a)
     gcds: list[int] = []
     coeffs: list[IntVec] = []
     g_prev = vec[0]

@@ -31,7 +31,6 @@ from fractions import Fraction
 from .arrangement import Arrangement, Subtorus, subtorus_from_equation
 from .arrangement import max_parallel_count as _max_parallel_count
 from .errors import (
-    BadOffsets,
     InvalidParams,
     NotFeasible,
     ParamOutOfRange,
@@ -251,12 +250,12 @@ def construct_family_sheared(d: int, n: int, k: int) -> Arrangement:
     x_2 = k x_1 + 1/2, and n-d verticals x_1 = c_j; the region count is
     2n-2d+k.
 
-    The verticals use c_j = j / (2(n-d)+1). The odd denominator guarantees
-    k c_j + 1/2 is never an integer, which is the genericity the count
-    needs (the sheared subtorus must avoid every vertical-horizontal
-    crossing); the condition is still verified and BadOffsets raised if it
-    ever failed. The combination n = d, k = 0 is rejected: it degenerates
-    to two disjoint parallel subtori (count 2, not 0).
+    The verticals use c_j = j / (2m+1) with m = n-d, so k c_j + 1/2 =
+    (2kj + 2m + 1) / (2(2m+1)) has an odd numerator over an even
+    denominator and is never an integer: the sheared subtorus avoids every
+    vertical-horizontal crossing, the genericity the count needs. The
+    combination n = d, k = 0 is rejected: it degenerates to two disjoint
+    parallel subtori (count 2, not 0).
     """
     if not (_is_int(d) and _is_int(n) and _is_int(k)):
         raise ParamOutOfRange("parameters must be integers")
@@ -271,10 +270,7 @@ def construct_family_sheared(d: int, n: int, k: int) -> Arrangement:
     tori.append(_sheared(d, k))
     denom = 2 * (n - d) + 1
     for j in range(1, n - d + 1):
-        c = Fraction(j, denom)
-        if (k * c + Fraction(1, 2)).denominator == 1:
-            raise BadOffsets(f"offset c_{j}={c} puts the sheared subtorus through a crossing")
-        tori.append(Subtorus(_axis(d, 0), c))
+        tori.append(Subtorus(_axis(d, 0), Fraction(j, denom)))
     return Arrangement(d, tuple(tori))
 
 

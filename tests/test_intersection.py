@@ -5,9 +5,9 @@ import random
 import pytest
 
 from conftest import random_primitive_vector
-from torusarr.errors import DimensionMismatch, InvalidInput, NonPrimitive, ParallelNormals
+from torusarr.errors import DimensionMismatch, NonPrimitive, ParallelNormals
 from torusarr.intersection import components_coordinate, components_pair
-from torusarr.lattice import BezoutChain, bezout_chain, minors2_gcd
+from torusarr.lattice import minors2_gcd
 
 
 def primitive_vectors(d, bound):
@@ -67,8 +67,7 @@ class TestComponentsPair:
             assert components_pair(a, b) == minors2_gcd(a, b)
 
     def test_leading_zero_path_exhaustive(self):
-        # a_0 = a_1 = 0 takes the swap path, on either side of the pair; an
-        # explicit chain is refused there.
+        # a_0 = a_1 = 0 takes the swap path, on either side of the pair.
         for d in (3, 4):
             box = list(primitive_vectors(d, 2))
             for a in box:
@@ -78,8 +77,6 @@ class TestComponentsPair:
                     if b == a or b == tuple(-x for x in a):
                         continue
                     assert components_pair(a, b) == components_pair(b, a) == minors2_gcd(a, b)
-                with pytest.raises(InvalidInput, match="explicit chain"):
-                    components_pair(a, box[0], chain=bezout_chain(a))
 
     def test_agrees_with_coordinate_exhaustive(self):
         e1 = (1, 0, 0)
@@ -97,45 +94,3 @@ class TestComponentsPair:
             if b == a or b == tuple(-x for x in a):
                 continue
             assert components_pair(a, b) == components_pair(b, a)
-
-    def test_independent_of_certificate_choice(self):
-        # Perturb the canonical chain coefficients by prefix-kernel vectors;
-        # the chain still certifies the same gcds and the count must not move.
-        rng = random.Random(12)
-        checked = 0
-        while checked < 120:
-            d = rng.randint(2, 5)
-            a = random_primitive_vector(rng, d, 6)
-            if a[0] == 0:
-                continue
-            b = random_primitive_vector(rng, d, 6)
-            if b == a or b == tuple(-x for x in a):
-                continue
-            base = bezout_chain(a)
-            coeffs = []
-            for j, u in enumerate(base.coeffs, start=1):
-                mod = list(u)
-                for _ in range(3):
-                    s = rng.randrange(j + 1)
-                    t = rng.randrange(j + 1)
-                    if s == t:
-                        continue
-                    c = rng.randint(-3, 3)
-                    mod[s] += c * a[t]
-                    mod[t] -= c * a[s]
-                coeffs.append(tuple(mod))
-            alt = BezoutChain(a, base.gcds, tuple(coeffs))
-            alt.verify()
-            assert components_pair(a, b, chain=alt) == components_pair(a, b)
-            checked += 1
-
-    def test_chain_for_wrong_vector_rejected(self):
-        chain = bezout_chain((2, 3))
-        with pytest.raises(InvalidInput):
-            components_pair((3, 2), (1, 0), chain=chain)
-
-    def test_invalid_chain_rejected(self):
-        good = bezout_chain((2, 3))
-        bad = BezoutChain((2, 3), good.gcds, ((5, 5),))
-        with pytest.raises(InvalidInput):
-            components_pair((2, 3), (1, 0), chain=bad)

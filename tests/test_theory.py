@@ -149,6 +149,32 @@ class TestCheckBounds:
             check_bounds(arr, 2)
         assert not err.value.report.parallel_ok
 
+    def test_dichotomy_alone_fails_on_a_forged_count(self):
+        # Four pairwise non-parallel subtori of T^2 (m = 1) with true f = 7.
+        # f = 3 meets the parallel bound 3 and lies in the achievable set
+        # (every l >= 3), so only the dichotomy can reject it: 3 < 2n-2d = 4
+        # and m = 1 < n-d+1 = 3.
+        arr = Arrangement(
+            2,
+            (
+                Subtorus((1, 0), F(0)),
+                Subtorus((0, 1), F(0)),
+                Subtorus((1, 1), F(1, 2)),
+                Subtorus((1, -1), F(1, 3)),
+            ),
+        )
+        assert count_regions(arr) == 7
+        assert check_bounds(arr, 7).ok
+        with pytest.raises(TheoremViolation) as err:
+            check_bounds(arr, 3)
+        rep = err.value.report
+        assert rep.m == 1 and rep.parallel_ok and rep.membership_ok
+        assert rep.dichotomy_applicable and not rep.dichotomy_ok
+        assert str(err.value) == (
+            "counted arrangement violates proven bounds: "
+            "dichotomy fails: f=3 < 4 and not (f <= 4 with m >= 3)"
+        )
+
 
 class TestConstructFamilyParallel:
     def test_contents(self):
